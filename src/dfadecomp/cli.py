@@ -154,7 +154,15 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         and (not args.perfect_only or e.perfect)
     ]
     if args.format == "json":
-        print(json.dumps([_entry_json(e, dfa) for e in entries], indent=2))
+        # One entry at a time, laid out as json.dumps(list, indent=2) would:
+        # encoding the whole list at once holds every chunk string alive.
+        sys.stdout.write("[")
+        sep = "\n  "
+        for e in entries:
+            entry = json.dumps(_entry_json(e, dfa), indent=2)
+            sys.stdout.write(sep + entry.replace("\n", "\n  "))
+            sep = ",\n  "
+        print("\n]" if entries else "]")
     else:
         print(f"# {len(entries)} {args.kind} decomposition(s) of {dfa.name}")
         for e in entries:

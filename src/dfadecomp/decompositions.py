@@ -30,14 +30,15 @@ from .automata import (
 )
 from .errors import InputError
 from .partitions import (
+    Labels,
     Partition,
+    SeparationWitness,
     SpLattice,
+    _separation,
     is_distributive,
     join,
-    leq,
     meet,
     quotient,
-    separates_finals,
     sp_lattice,
 )
 
@@ -208,12 +209,6 @@ def verify(
     return Decomposition(kind, a1, a2, alpha)
 
 
-def _acceptance_partition(a: Dfa) -> Partition:
-    non_accepting = [i for i in range(a.n) if i not in a.accepting]
-    blocks = [b for b in (sorted(a.accepting), non_accepting) if b]
-    return Partition(blocks)
-
-
 def _ordered_pair(x: Partition, y: Partition) -> tuple[Partition, Partition]:
     return (x, y) if (x.num_blocks, x.blocks) <= (y.num_blocks, y.blocks) else (y, x)
 
@@ -248,23 +243,43 @@ def _entry_from_partitions(
 
 def _emission_condition(
     kind: DecompositionKind, a: Dfa
-) -> Callable[[Partition, Partition], object]:
-    """The sufficient condition each decompose_* uses to emit a lattice pair.
+) -> Callable[[Labels, Labels], object]:
+    """The sufficient condition each decompose_* uses to emit a lattice pair,
+    read off the pair's label vectors (``Partition.block_index``).
 
-    Also reused by the redundancy check: a decomposition is redundant when a
-    strictly coarser pair still satisfies the same condition.
+    For ``ai`` and ``asb`` a satisfied condition returns its
+    :class:`SeparationWitness`.  Also reused by the redundancy check.  Every
+    condition is down-closed: if it holds for a pair it holds for every finer
+    pair, since meets only shrink and the blocks meeting the accepting states
+    only shrink along with them.
     """
-    bottom = Partition.singletons(a.n)
-    finals = frozenset(a.accepting)
+    n = a.n
+    finals = sorted(a.accepting)
+    others = [i for i in range(n) if i not in a.accepting]
+
+    def meet_zero(x: Labels, y: Labels) -> bool:
+        return len(set(zip(x, y))) == n
+
+    def separation(x: Labels, y: Labels) -> SeparationWitness | None:
+        return _separation(x, y, finals, others)
+
     if kind is DecompositionKind.SB:
-        return lambda x, y: meet(x, y) == bottom
+        return meet_zero
     if kind is DecompositionKind.ASB:
-        return lambda x, y: meet(x, y) == bottom and separates_finals(x, y, finals)
+        return lambda x, y: separation(x, y) if meet_zero(x, y) else None
     if kind is DecompositionKind.AI:
-        return lambda x, y: separates_finals(x, y, finals)
+        return separation
     if kind is DecompositionKind.WAI:
-        acc = _acceptance_partition(a)
-        return lambda x, y: leq(meet(x, y), acc)
+        accepting = [i in a.accepting for i in range(n)]
+
+        def meet_refines_acceptance(x: Labels, y: Labels) -> bool:
+            cell_accepts: dict[tuple[int, int], bool] = {}
+            return all(
+                cell_accepts.setdefault(cell, acc) == acc
+                for cell, acc in zip(zip(x, y), accepting)
+            )
+
+        return meet_refines_acceptance
     raise InputError(f"no lattice-based construction for kind {kind.value!r}")
 
 
@@ -273,20 +288,21 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
     condition = _emission_condition(kind, a)
     entries = []
     for x, y in itertools.combinations_with_replacement(lattice.nontrivial(), 2):
-        outcome = condition(x, y)
+        outcome = condition(x.block_index, y.block_index)
         if not outcome:
             continue
         pa, pb = _ordered_pair(x, y)
-        if kind in (DecompositionKind.ASB, DecompositionKind.AI):
-            witness = separates_finals(pa, pb, a.accepting)
+        if isinstance(outcome, SeparationWitness):
+            if pa is not x:
+                outcome = SeparationWitness(outcome.blocks_from_2, outcome.blocks_from_1)
             d = _entry_from_partitions(
                 a,
                 kind,
                 pa,
                 pb,
-                witness.blocks_from_1,
-                witness.blocks_from_2,
-                witness_override=witness if kind is DecompositionKind.AI else None,
+                outcome.blocks_from_1,
+                outcome.blocks_from_2,
+                witness_override=outcome if kind is DecompositionKind.AI else None,
             )
         else:
             d = _entry_from_partitions(a, kind, pa, pb, (), ())
@@ -343,21 +359,23 @@ def is_redundant(
     """True iff some strictly coarser lattice pair still satisfies the
     condition that emitted ``d`` (meet zero for ``sb``, plus separation for
     ``asb``; the analogous condition for the sufficient ``ai``/``wai`` kinds).
+
+    The conditions are down-closed, and every element strictly coarser than x
+    lies above one of the joins listed in ``SpLattice.above``, so only the
+    pairs one such step coarser in either coordinate need testing.
     """
     if d.source_partitions is None:
         raise InputError("redundancy is defined for decompositions built from partitions")
     lat = lattice if lattice is not None else sp_lattice(a)
-    p1, p2 = d.source_partitions
     condition = _emission_condition(d.kind, a)
-    coarser1 = [x for x in lat.elements if leq(p1, x)]
-    coarser2 = [y for y in lat.elements if leq(p2, y)]
-    for x in coarser1:
-        for y in coarser2:
-            if x == p1 and y == p2:
-                continue
-            if condition(x, y):
-                return True
-    return False
+    p1, p2 = d.source_partitions
+    if p1 not in lat or p2 not in lat:
+        raise InputError("source partitions are not elements of the automaton's lattice")
+    x, y = p1.block_index, p2.block_index
+    coarser = lat.elements
+    return any(condition(coarser[j].block_index, y) for j in lat.above[lat.index[p1]]) or any(
+        condition(x, coarser[j].block_index) for j in lat.above[lat.index[p2]]
+    )
 
 
 def project_to_minimal(a: Dfa, d: Decomposition) -> Decomposition | Refusal:

@@ -26,4 +26,4 @@ class BudgetError(Error):
 
 
 class SizeLimitError(BudgetError):
-    """An exhaustive subset search was refused because the space is too large."""
+    """A computation was refused because the structure it must build is too large."""

@@ -2,49 +2,79 @@
 substitution property.
 
 A partition is kept in canonical block form (members sorted, blocks sorted by
-least member), so equality and hashing are structural.  All functions here
-work on state indexes; name formatting lives in :mod:`dfadecomp.textio`.
+least member), so equality and hashing are structural.  Its ``block_index`` is
+the matching label vector: each state's block position, numbered by first
+occurrence.  The lattice algorithms run on these label vectors and build
+:class:`Partition` objects only for their results.  All functions here work on
+state indexes; name formatting lives in :mod:`dfadecomp.textio`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .automata import Dfa
-from .errors import InputError, SizeLimitError
+from .errors import InputError
 
-# Exhaustive separation search refuses above this many combined blocks.
-_SUBSET_SEARCH_LIMIT = 20
+# A canonical label vector: state i lies in block labels[i], and the labels
+# are numbered by first occurrence.
+Labels = tuple[int, ...]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
+def _union(root: list[int], i: int, j: int) -> bool:
+    """Merge the classes of i and j in a union-find forest, hanging the larger
+    root under the smaller; False if they were one class already.  Paths are
+    halved on the way up, which keeps every parent smaller than its child."""
+    while root[i] != i:
+        root[i] = root[root[i]]
+        i = root[i]
+    while root[j] != j:
+        root[j] = root[root[j]]
+        j = root[j]
+    if i == j:
+        return False
+    if i < j:
+        root[j] = i
+    else:
+        root[i] = j
+    return True
 
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
 
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        if ri > rj:
-            ri, rj = rj, ri
-        self.parent[rj] = ri
-        return True
+def _resolve(root: list[int]) -> list[int]:
+    """Point every entry at its root, in place.  Each parent is smaller than
+    its child, so one ascending pass suffices."""
+    for k in range(len(root)):
+        root[k] = root[root[k]]
+    return root
 
-    def groups(self) -> list[list[int]]:
-        by_root: dict[int, list[int]] = {}
-        for i in range(len(self.parent)):
-            by_root.setdefault(self.find(i), []).append(i)
-        return sorted(by_root.values())
+
+def _canonical(labels: Iterable[Hashable]) -> Labels:
+    """Renumber labels by first occurrence, so equal partitions get equal vectors."""
+    seen: dict[Hashable, int] = {}
+    return tuple([seen.setdefault(lab, len(seen)) for lab in labels])
+
+
+def _meet_labels(x: Labels, y: Labels) -> Labels:
+    return _canonical(zip(x, y))
+
+
+def _join_labels(x: Labels, y: Labels) -> Labels:
+    """Union the blocks of x that a common block of y links, then renumber."""
+    root = list(range(len(x)))
+    first: dict[int, int] = {}
+    for xi, yi in zip(x, y):
+        xj = first.setdefault(yi, xi)
+        if xj != xi:
+            _union(root, xi, xj)
+    return _canonical(map(_resolve(root).__getitem__, x))
+
+
+def _leq_labels(x: Labels, y: Labels) -> bool:
+    """True iff x refines y: every block of x carries a single y label."""
+    label_of: dict[int, int] = {}
+    return all(label_of.setdefault(xi, yi) == yi for xi, yi in zip(x, y))
 
 
 class Partition:
@@ -63,22 +93,33 @@ class Partition:
         for pos, block in enumerate(self.blocks):
             for i in block:
                 index[i] = pos
-        self.block_index: tuple[int, ...] = tuple(index)
+        self.block_index: Labels = tuple(index)
+
+    @classmethod
+    def _from_canonical(cls, labels: Labels) -> "Partition":
+        """The partition of a canonical label vector, built without re-sorting."""
+        blocks: list[list[int]] = []
+        for i, lab in enumerate(labels):
+            if lab == len(blocks):
+                blocks.append([i])
+            else:
+                blocks[lab].append(i)
+        pi = cls.__new__(cls)
+        pi.blocks = tuple(map(tuple, blocks))
+        pi.block_index = labels
+        return pi
 
     @classmethod
     def from_assignment(cls, labels: Iterable[int]) -> "Partition":
-        by_label: dict[int, list[int]] = {}
-        for i, lab in enumerate(labels):
-            by_label.setdefault(lab, []).append(i)
-        return cls(by_label.values())
+        return cls._from_canonical(_canonical(labels))
 
     @staticmethod
     def singletons(n: int) -> "Partition":
-        return Partition([i] for i in range(n))
+        return Partition._from_canonical(tuple(range(n)))
 
     @staticmethod
     def whole(n: int) -> "Partition":
-        return Partition([range(n)])
+        return Partition._from_canonical((0,) * n)
 
     @property
     def n(self) -> int:
@@ -117,29 +158,20 @@ def _check_same_ground(p1: Partition, p2: Partition) -> int:
 
 def meet(p1: Partition, p2: Partition) -> Partition:
     """Coarsest common refinement: blocks are the nonempty block intersections."""
-    n = _check_same_ground(p1, p2)
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        cells.setdefault((p1.block_index[i], p2.block_index[i]), []).append(i)
-    return Partition(cells.values())
+    _check_same_ground(p1, p2)
+    return Partition._from_canonical(_meet_labels(p1.block_index, p2.block_index))
 
 
 def join(p1: Partition, p2: Partition) -> Partition:
     """Finest common coarsening, via union-find over both block structures."""
-    n = _check_same_ground(p1, p2)
-    uf = _UnionFind(n)
-    for block in itertools.chain(p1.blocks, p2.blocks):
-        for i in block[1:]:
-            uf.union(block[0], i)
-    return Partition(uf.groups())
+    _check_same_ground(p1, p2)
+    return Partition._from_canonical(_join_labels(p1.block_index, p2.block_index))
 
 
 def leq(p1: Partition, p2: Partition) -> bool:
     """True iff p1 refines p2 (every block of p1 sits inside a block of p2)."""
     _check_same_ground(p1, p2)
-    return all(
-        p2.block_index[block[0]] == p2.block_index[i] for block in p1.blocks for i in block[1:]
-    )
+    return _leq_labels(p1.block_index, p2.block_index)
 
 
 def is_sp(dfa: Dfa, pi: Partition) -> bool:
@@ -165,44 +197,46 @@ def min_sp_merging(dfa: Dfa, p: str, t: str) -> Partition:
     Closure by union-find: whenever two merged states disagree on a successor
     block, the successors are merged as well, until stable.
     """
-    return _min_sp_merging_idx(dfa, dfa.state_index(p), dfa.state_index(t))
+    return Partition._from_canonical(
+        _min_sp_merging_labels(dfa, dfa.state_index(p), dfa.state_index(t))
+    )
 
 
-def _min_sp_merging_idx(dfa: Dfa, p: int, t: int) -> Partition:
-    uf = _UnionFind(dfa.n)
+def _min_sp_merging_labels(dfa: Dfa, p: int, t: int) -> Labels:
+    root = list(range(dfa.n))
     pending = [(p, t)]
-    uf.union(p, t)
-    syms = range(len(dfa.alphabet))
     while pending:
         x, y = pending.pop()
-        for a in syms:
-            sx, sy = dfa.table[x][a], dfa.table[y][a]
-            if uf.union(sx, sy):
-                pending.append((sx, sy))
-    return Partition(uf.groups())
+        if _union(root, x, y):
+            pending.extend(zip(dfa.table[x], dfa.table[y]))
+    return _canonical(_resolve(root))
 
 
 @dataclass(frozen=True)
 class SpLattice:
     """Every substitution-property partition of one DFA, with atom provenance.
 
+    ``elements`` run from the finest partition (``bottom``) to the coarsest
+    (``top``), and ``index`` maps each element to its position there.
     ``atoms`` maps each unordered state-name pair to the finest S.P. partition
     merging that pair; every element of the lattice is a join of atoms.
+    ``above[i]`` holds the positions of the distinct joins of
+    ``elements[i]`` with an atom that are strictly coarser than it: every
+    upper cover of the element is among them, and every strictly coarser
+    element lies above one of them.
     """
 
     dfa_fingerprint: str
     elements: tuple[Partition, ...]
     atoms: Mapping[tuple[str, str], Partition]
-
-    _element_set: frozenset[Partition] = field(
-        init=False, repr=False, compare=False, default=frozenset()
-    )
+    above: tuple[tuple[int, ...], ...]
+    index: Mapping[Partition, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_element_set", frozenset(self.elements))
+        object.__setattr__(self, "index", {pi: i for i, pi in enumerate(self.elements)})
 
     def __contains__(self, pi: Partition) -> bool:
-        return pi in self._element_set
+        return pi in self.index
 
     @property
     def bottom(self) -> Partition:
@@ -224,36 +258,51 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     """All S.P. partitions of ``dfa``: the atoms for every state pair, closed
     under join.
 
-    Closure under meet is a consequence and is re-verified here when the
-    lattice is small enough for the quadratic check.
+    The atom of the pair (p, t) lies below an S.P. partition x exactly when x
+    merges p and t, so the closure joins x only with the atoms it does not
+    already contain.  Closure under meet is a consequence and is re-verified
+    here when the lattice is small enough for the quadratic check.
     """
     n = dfa.n
-    bottom = Partition.singletons(n)
     atoms: dict[tuple[str, str], Partition] = {}
-    atom_values: list[Partition] = []
-    seen_atoms: set[Partition] = set()
+    atom_of: dict[Labels, Partition] = {}
+    merging: list[tuple[int, int, Labels]] = []  # one generating pair per distinct atom
     for p in range(n):
         for t in range(p + 1, n):
-            atom = _min_sp_merging_idx(dfa, p, t)
-            atoms[(dfa.states[p], dfa.states[t])] = atom
-            if atom not in seen_atoms:
-                seen_atoms.add(atom)
-                atom_values.append(atom)
-    elements: set[Partition] = {bottom} | seen_atoms
-    worklist = list(atom_values)
-    while worklist:
-        current = worklist.pop()
-        for atom in atom_values:
-            candidate = join(current, atom)
-            if candidate not in elements:
-                elements.add(candidate)
-                worklist.append(candidate)
-    ordered = tuple(sorted(elements, key=_element_sort_key))
-    if check_meet_closure and len(ordered) <= 1000:
-        for x, y in itertools.combinations(ordered, 2):
-            if meet(x, y) not in elements:
+            labels = _min_sp_merging_labels(dfa, p, t)
+            if labels not in atom_of:
+                atom_of[labels] = Partition._from_canonical(labels)
+                merging.append((p, t, labels))
+            atoms[(dfa.states[p], dfa.states[t])] = atom_of[labels]
+    bottom = tuple(range(n))
+    position = {bottom: 0}
+    found = [bottom]
+    strictly_above: list[set[int]] = []
+    for x in found:  # ``found`` grows while this loop runs; each element is visited once
+        ups = set()
+        for p, t, atom in merging:
+            if x[p] == x[t]:
+                continue
+            z = _join_labels(x, atom)
+            k = position.get(z)
+            if k is None:
+                k = position[z] = len(found)
+                found.append(z)
+            ups.add(k)
+        strictly_above.append(ups)
+    if check_meet_closure and len(found) <= 1000:
+        for x, y in itertools.combinations(found, 2):
+            if _meet_labels(x, y) not in position:
                 raise RuntimeError("internal invariant violated: lattice not meet-closed")
-    return SpLattice(dfa_fingerprint=dfa.fingerprint(), elements=ordered, atoms=atoms)
+    partitions = [Partition._from_canonical(z) for z in found]
+    order = sorted(range(len(found)), key=lambda k: _element_sort_key(partitions[k]))
+    rank = {k: r for r, k in enumerate(order)}
+    return SpLattice(
+        dfa_fingerprint=dfa.fingerprint(),
+        elements=tuple(partitions[k] for k in order),
+        atoms=atoms,
+        above=tuple(tuple(sorted(rank[j] for j in strictly_above[k])) for k in order),
+    )
 
 
 @dataclass(frozen=True)
@@ -267,28 +316,20 @@ class SeparationWitness:
     blocks_from_2: tuple[int, ...]
 
 
-def _union_of(pi: Partition, picks: Iterable[int]) -> set[int]:
-    out: set[int] = set()
-    for b in picks:
-        out.update(pi.blocks[b])
-    return out
-
-
-def _exhaustive_separation(
-    p1: Partition, p2: Partition, finals: frozenset[int]
+def _separation(
+    x: Labels, y: Labels, finals: Sequence[int], others: Sequence[int]
 ) -> SeparationWitness | None:
-    """Plain subset search over both block families; small inputs only."""
-    b1, b2 = p1.num_blocks, p2.num_blocks
-    for mask1 in range(1 << b1):
-        picks1 = [i for i in range(b1) if mask1 >> i & 1]
-        union1 = _union_of(p1, picks1)
-        if not finals <= union1:
-            continue
-        for mask2 in range(1 << b2):
-            picks2 = [i for i in range(b2) if mask2 >> i & 1]
-            if union1 & _union_of(p2, picks2) == finals:
-                return SeparationWitness(tuple(picks1), tuple(picks2))
-    return None
+    """The minimal pick (every block meeting ``finals``) if it separates them.
+
+    ``others`` are the states outside ``finals``; the pick fails exactly when
+    one of them lies in a picked block of both partitions.
+    """
+    picks1 = {x[i] for i in finals}
+    picks2 = {y[i] for i in finals}
+    for i in others:
+        if x[i] in picks1 and y[i] in picks2:
+            return None
+    return SeparationWitness(tuple(sorted(picks1)), tuple(sorted(picks2)))
 
 
 def separates_finals(
@@ -297,33 +338,42 @@ def separates_finals(
     """Witness that some block unions of p1 and p2 intersect exactly in ``finals``.
 
     Any witness must pick every block meeting ``finals``, and adding blocks can
-    only grow the intersection, so the minimal candidate below is decisive.
-    The exhaustive fallback is kept as a guard for that argument and bounds the
-    subset space at 2**20.
+    only grow the intersection, so the minimal candidate is decisive: when it
+    fails, no witness exists and the result is None.
     """
     n = _check_same_ground(p1, p2)
     fin = frozenset(finals)
     if not all(0 <= i < n for i in fin):
         raise InputError("final states are not a subset of the partitioned set")
-    picks1 = tuple(sorted({p1.block_index[i] for i in fin}))
-    picks2 = tuple(sorted({p2.block_index[i] for i in fin}))
-    if _union_of(p1, picks1) & _union_of(p2, picks2) == fin:
-        return SeparationWitness(picks1, picks2)
-    if p1.num_blocks + p2.num_blocks > _SUBSET_SEARCH_LIMIT:
-        raise SizeLimitError(
-            f"separation subset search over {p1.num_blocks}+{p2.num_blocks} blocks "
-            f"exceeds the 2**{_SUBSET_SEARCH_LIMIT} limit"
-        )
-    return _exhaustive_separation(p1, p2, fin)
+    others = [i for i in range(n) if i not in fin]
+    return _separation(p1.block_index, p2.block_index, sorted(fin), others)
 
 
 def is_distributive(lattice: SpLattice) -> bool:
-    """True iff meet distributes over join across all element triples."""
-    elements = lattice.elements
-    for x in elements:
-        for y in elements:
-            for z in elements:
-                if meet(x, join(y, z)) != join(meet(x, y), meet(x, z)):
+    """True iff meet distributes over join in the lattice.
+
+    A finite lattice is distributive iff every join-irreducible element j is
+    join-prime, that is j is not below the join of all elements not above it
+    (Davey & Priestley, *Introduction to Lattices and Order*).  Every element
+    is a join of atoms, so the join-irreducibles are the distinct atoms that
+    are not the join of the atoms strictly below them.  This takes
+    O(|atoms| * |L|) joins of label vectors.
+    """
+    elements = [pi.block_index for pi in lattice.elements]
+    atoms = list(dict.fromkeys(pi.block_index for pi in lattice.atoms.values()))
+    bottom = elements[0]
+    for j in atoms:
+        below = bottom
+        for a in atoms:
+            if a != j and _leq_labels(a, j):
+                below = _join_labels(below, a)
+        if below == j:
+            continue
+        rest = bottom
+        for x in elements:
+            if not _leq_labels(j, x) and not _leq_labels(x, rest):
+                rest = _join_labels(rest, x)
+                if _leq_labels(j, rest):
                     return False
     return True
 

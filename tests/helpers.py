@@ -11,7 +11,18 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from dfadecomp import Dfa, Partition, accepts
+from dfadecomp import (
+    Decomposition,
+    DecompositionKind,
+    Dfa,
+    Partition,
+    SpLattice,
+    accepts,
+    join,
+    leq,
+    meet,
+    separates_finals,
+)
 
 Block = frozenset[int]
 FsPartition = frozenset[Block]
@@ -155,3 +166,41 @@ def exhaustive_separation_exists(x: FsPartition, y: FsPartition, finals: frozens
                     if u1 & u2 == finals:
                         return True
     return False
+
+
+def scan_condition(kind: DecompositionKind, a: Dfa):
+    """The emission conditions on Partition objects, through the public
+    lattice operations rather than the label vectors the library reads."""
+    bottom = Partition.singletons(a.n)
+    finals = frozenset(a.accepting)
+    acc = Partition(b for b in (sorted(finals), sorted(set(range(a.n)) - finals)) if b)
+    return {
+        DecompositionKind.SB: lambda x, y: meet(x, y) == bottom,
+        DecompositionKind.ASB: lambda x, y: meet(x, y) == bottom
+        and separates_finals(x, y, finals) is not None,
+        DecompositionKind.AI: lambda x, y: separates_finals(x, y, finals) is not None,
+        DecompositionKind.WAI: lambda x, y: leq(meet(x, y), acc),
+    }[kind]
+
+
+def redundant_by_scan(a: Dfa, d: Decomposition, lattice: SpLattice) -> bool:
+    """Redundancy by scanning every coarser pair of lattice elements: O(|L|^2)
+    ``leq`` calls per decomposition."""
+    p1, p2 = d.source_partitions
+    condition = scan_condition(d.kind, a)
+    coarser1 = [x for x in lattice.elements if leq(p1, x)]
+    coarser2 = [y for y in lattice.elements if leq(p2, y)]
+    return any(
+        condition(x, y) for x in coarser1 for y in coarser2 if (x, y) != (p1, p2)
+    )
+
+
+def distributive_by_triples(lattice: SpLattice) -> bool:
+    """Meet distributes over join across all O(|L|^3) element triples."""
+    elements = lattice.elements
+    return all(
+        meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+        for x in elements
+        for y in elements
+        for z in elements
+    )

@@ -1,0 +1,95 @@
+"""The index-lattice fast paths against their brute-force oracles on random
+trimmed automata: the lattice itself, its join steps, redundancy and
+distributivity."""
+
+import random
+
+import pytest
+
+from dfadecomp import (
+    Dfa,
+    DecompositionKind,
+    brute_sp_partitions,
+    decompose_ai_sufficient,
+    decompose_asb,
+    decompose_sb,
+    decompose_wai_sufficient,
+    gen_grid,
+    is_distributive,
+    parallel_connection,
+    random_dfa,
+    sp_lattice,
+    trim,
+)
+
+import helpers
+
+DECOMPOSERS = {
+    DecompositionKind.SB: decompose_sb,
+    DecompositionKind.ASB: decompose_asb,
+    DecompositionKind.AI: decompose_ai_sufficient,
+    DecompositionKind.WAI: decompose_wai_sufficient,
+}
+
+# The O(|L|^3) distributivity oracle runs only on lattices up to this size.
+TRIPLE_ORACLE_LIMIT = 40
+
+
+def _random_trimmed(seed: int) -> Dfa:
+    """A trimmed automaton of at most 7 states over 1-3 symbols.  Plain random
+    automata mostly have trivial lattices, so two seeds in three draw a product
+    of two small automata, or an automaton whose transitions are mostly
+    self-loops, which many partitions respect."""
+    rng = random.Random(seed)
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    if seed % 3 == 0:
+        return random_dfa(rng, rng.randint(1, 7), alphabet, trim_unreachable=True)
+    if seed % 3 == 1:
+        n1 = rng.randint(2, 3)
+        a1 = random_dfa(rng, n1, alphabet)
+        a2 = random_dfa(rng, rng.randint(2, 7 // n1), alphabet)
+        return trim(parallel_connection(a1, a2))
+    n = rng.randint(2, 7)
+    table = [[i if rng.random() < 0.7 else rng.randrange(n) for _ in alphabet] for i in range(n)]
+    for i in range(1, n):  # a spanning tree from state 0 keeps every state reachable
+        table[rng.randrange(i)][rng.randrange(len(alphabet))] = i
+    return Dfa(
+        name=f"loops{n}",
+        states=tuple(f"q{i}" for i in range(n)),
+        alphabet=alphabet,
+        table=tuple(map(tuple, table)),
+        initial=0,
+        accepting=frozenset(i for i in range(n) if rng.random() < 0.5),
+    )
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_index_lattice_matches_oracles(seed):
+    a = _random_trimmed(seed)
+    lattice = sp_lattice(a)
+    elements = lattice.elements
+    assert set(elements) == brute_sp_partitions(a)
+    assert len(elements) == len(set(elements))
+    assert all(lattice.index[pi] == i for i, pi in enumerate(elements))
+
+    fs = [helpers.fs(pi) for pi in elements]
+    for i, ups in enumerate(lattice.above):
+        assert all(helpers.fs_refines(fs[i], fs[j]) and fs[i] != fs[j] for j in ups)
+        for k, z in enumerate(fs):
+            if k != i and helpers.fs_refines(fs[i], z):
+                assert any(helpers.fs_refines(fs[j], z) for j in ups), (i, k)
+
+    for kind, decompose in DECOMPOSERS.items():
+        for e in decompose(a).entries:
+            assert e.redundant == helpers.redundant_by_scan(a, e.decomposition, lattice), kind
+
+    if len(elements) <= TRIPLE_ORACLE_LIMIT:
+        assert is_distributive(lattice) == helpers.distributive_by_triples(lattice)
+
+
+@pytest.mark.parametrize("r, s", [(4, 5), (3, 7)])
+def test_ai_on_large_grids_reports_without_a_size_limit(r, s):
+    # The separation of 19+19 and 20+20 blocks is decided by the minimal pick.
+    report = decompose_ai_sufficient(gen_grid(r, s))
+    assert report.entries
+    assert sum(not e.redundant for e in report.entries) >= 1

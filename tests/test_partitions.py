@@ -8,7 +8,6 @@ from dfadecomp import (
     Dfa,
     InputError,
     Partition,
-    SizeLimitError,
     gen_example31,
     gen_example31_partitions,
     gen_grid,
@@ -23,7 +22,6 @@ from dfadecomp import (
     separates_finals,
     sp_lattice,
 )
-from dfadecomp.partitions import _exhaustive_separation
 
 import helpers
 
@@ -253,7 +251,7 @@ class TestSeparatesFinals:
                 assert u1 & u2 == finals
 
     def test_fallback_agrees_with_canonical(self):
-        # the in-module exhaustive fallback is never needed, but must agree
+        # the minimal pick decides: exhaustive search finds a witness exactly when it does
         rng = random.Random(17)
         for _ in range(40):
             n = rng.randint(1, 5)
@@ -261,16 +259,17 @@ class TestSeparatesFinals:
             p2 = Partition.from_assignment([rng.randrange(2) for _ in range(n)])
             finals = frozenset(i for i in range(n) if rng.random() < 0.4)
             canonical = separates_finals(p1, p2, finals)
-            fallback = _exhaustive_separation(p1, p2, finals)
-            assert (canonical is None) == (fallback is None)
+            fallback = helpers.exhaustive_separation_exists(
+                helpers.fs(p1), helpers.fs(p2), finals
+            )
+            assert (canonical is not None) == fallback
 
-    def test_size_limit_error_is_distinct_from_none(self):
-        # no witness exists, and the combined block count exceeds the limit
+    def test_no_witness_is_none_even_past_a_subset_search(self):
+        # 21+21 blocks: the minimal pick decides without searching 2**42 subsets
         n = 22
         blocks = [[0, 1]] + [[i] for i in range(2, n)]
         nearly_zero = Partition(blocks)
-        with pytest.raises(SizeLimitError):
-            separates_finals(nearly_zero, nearly_zero, {0})
+        assert separates_finals(nearly_zero, nearly_zero, {0}) is None
 
 
 class TestIsDistributive:
