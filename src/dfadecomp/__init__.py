@@ -35,7 +35,7 @@ from .decompositions import (
     transfer_to_minimal,
     verify,
 )
-from .errors import BudgetError, Error, InputError, ParseError, SizeLimitError
+from .errors import BudgetError, Error, InputError, ParseError
 from .families import (
     gen_a4b4_triple,
     gen_example31,

@@ -3,6 +3,10 @@
 States and symbols are opaque string tokens at the API surface; internally
 every automaton is stored as a dense transition table indexed by position so
 that searches over many small automata stay cheap.
+
+``_triple_bfs`` is the package's one product search: equivalence, reachable
+configurations and every decomposition check run A, A1 and A2 in parallel
+through it.
 """
 
 from __future__ import annotations
@@ -285,28 +289,45 @@ def parallel_connection(a1: Dfa, a2: Dfa, name: str | None = None) -> Dfa:
     )
 
 
-def difference_witness(a: Dfa, b: Dfa) -> tuple[str, ...] | None:
-    """Shortest-first word accepted by exactly one of the two, or None."""
-    cols2 = _require_same_alphabet(a, b)
+def _triple_bfs(a: Dfa, a1: Dfa, a2: Dfa):
+    """Joint configurations reachable by a common word, with BFS parents."""
+    cols1 = _require_same_alphabet(a, a1)
+    cols2 = _require_same_alphabet(a, a2)
     syms = range(len(a.alphabet))
-    start = (a.initial, b.initial)
-    parents: dict[tuple[int, int], tuple[tuple[int, int], int] | None] = {start: None}
+    start = (a.initial, a1.initial, a2.initial)
+    parents: dict[tuple[int, int, int], tuple[tuple[int, int, int], int] | None] = {start: None}
+    order = [start]
     queue = deque([start])
     while queue:
-        pair = queue.popleft()
-        i, j = pair
-        if (i in a.accepting) != (j in b.accepting):
-            word: list[str] = []
-            cursor = pair
-            while parents[cursor] is not None:
-                cursor, sym = parents[cursor]
-                word.append(a.alphabet[sym])
-            return tuple(reversed(word))
+        cur = queue.popleft()
+        i, j, k = cur
         for s in syms:
-            nxt = (a.table[i][s], b.table[j][cols2[s]])
+            nxt = (a.table[i][s], a1.table[j][cols1[s]], a2.table[k][cols2[s]])
             if nxt not in parents:
-                parents[nxt] = (pair, s)
+                parents[nxt] = (cur, s)
+                order.append(nxt)
                 queue.append(nxt)
+    return order, parents
+
+
+def _word_to(parents, triple, alphabet) -> tuple[str, ...]:
+    word: list[str] = []
+    cursor = triple
+    while parents[cursor] is not None:
+        cursor, s = parents[cursor]
+        word.append(alphabet[s])
+    return tuple(reversed(word))
+
+
+def difference_witness(a: Dfa, b: Dfa) -> tuple[str, ...] | None:
+    """Shortest-first word accepted by exactly one of the two, or None."""
+    # The third run repeats the second, so order and parents are those of
+    # the pair product and the first differing triple ends a shortest word.
+    order, parents = _triple_bfs(a, b, b)
+    for triple in order:
+        i, j, _ = triple
+        if (i in a.accepting) != (j in b.accepting):
+            return _word_to(parents, triple, a.alphabet)
     return None
 
 
@@ -317,20 +338,8 @@ def equivalent(a: Dfa, b: Dfa) -> bool:
 
 def reachable_triples(a: Dfa, a1: Dfa, a2: Dfa) -> frozenset[tuple[str, str, str]]:
     """All (state, state, state) configurations jointly reached by some word."""
-    cols1 = _require_same_alphabet(a, a1)
-    cols2 = _require_same_alphabet(a, a2)
-    syms = range(len(a.alphabet))
-    start = (a.initial, a1.initial, a2.initial)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        i, j, k = queue.popleft()
-        for s in syms:
-            nxt = (a.table[i][s], a1.table[j][cols1[s]], a2.table[k][cols2[s]])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return frozenset((a.states[i], a1.states[j], a2.states[k]) for i, j, k in seen)
+    order, _ = _triple_bfs(a, a1, a2)
+    return frozenset((a.states[i], a1.states[j], a2.states[k]) for i, j, k in order)
 
 
 def canonical_form(dfa: Dfa, sort_alphabet: bool = False) -> Dfa:

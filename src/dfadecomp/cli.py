@@ -64,43 +64,34 @@ def _load_dfa(path: str | None) -> Dfa:
     return parse_dfa(_read_text(path))
 
 
-def _require_params(args: argparse.Namespace, names: list[str]) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise InputError(f"family {args.family!r} requires {', '.join(missing)}")
+def _gen_a4b4_triple(args: argparse.Namespace) -> list[Dfa]:
+    triple = gen_a4b4_triple()
+    if args.index is None:
+        return list(triple)
+    if not 0 <= args.index < 3:
+        raise InputError("--index must be 0, 1 or 2")
+    return [triple[args.index]]
+
+
+# Family name -> (flags it requires, generator of the automata to print).
+_FAMILIES = {
+    "ln": (("n",), lambda args: [gen_ln(args.n)]),
+    "lkl": (("k", "l"), lambda args: [gen_lkl(args.k, args.l)]),
+    "grid": (("r", "s"), lambda args: [gen_grid(args.r, args.s)]),
+    "kext": (("k",), lambda args: [gen_k_extension(_load_dfa(args.input), args.k)]),
+    "example31_min": ((), lambda args: [gen_example31()[0]]),
+    "example31_prime": ((), lambda args: [gen_example31()[1]]),
+    "a4b4_triple": ((), _gen_a4b4_triple),
+    "sb_not_asb": ((), lambda args: [gen_sb_not_asb()]),
+}
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    family = args.family
-    if family == "ln":
-        _require_params(args, ["n"])
-        out = [gen_ln(args.n)]
-    elif family == "lkl":
-        _require_params(args, ["k", "l"])
-        out = [gen_lkl(args.k, args.l)]
-    elif family == "grid":
-        _require_params(args, ["r", "s"])
-        out = [gen_grid(args.r, args.s)]
-    elif family == "kext":
-        _require_params(args, ["k"])
-        out = [gen_k_extension(_load_dfa(args.input), args.k)]
-    elif family == "example31_min":
-        out = [gen_example31()[0]]
-    elif family == "example31_prime":
-        out = [gen_example31()[1]]
-    elif family == "a4b4_triple":
-        triple = gen_a4b4_triple()
-        if args.index is not None:
-            if not 0 <= args.index < 3:
-                raise InputError("--index must be 0, 1 or 2")
-            out = [triple[args.index]]
-        else:
-            out = list(triple)
-    elif family == "sb_not_asb":
-        out = [gen_sb_not_asb()]
-    else:  # unreachable: argparse restricts choices
-        raise InputError(f"unknown family {family!r}")
-    sys.stdout.write("".join(print_dfa(d) for d in out))
+    required, generate = _FAMILIES[args.family]
+    missing = [f"--{n}" for n in required if getattr(args, n) is None]
+    if missing:
+        raise InputError(f"family {args.family!r} requires {', '.join(missing)}")
+    sys.stdout.write("".join(print_dfa(d) for d in generate(args)))
     return 0
 
 
@@ -238,16 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--family",
         required=True,
-        choices=[
-            "ln",
-            "lkl",
-            "grid",
-            "kext",
-            "example31_min",
-            "example31_prime",
-            "a4b4_triple",
-            "sb_not_asb",
-        ],
+        choices=list(_FAMILIES),
     )
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)

@@ -17,17 +17,11 @@ product, so each returned witness is checked on every reachable configuration.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable
 
-from .automata import (
-    Dfa,
-    minimize,
-    reachable_indexes,
-    _require_same_alphabet,
-)
+from .automata import Dfa, _triple_bfs, _word_to, minimize, reachable_indexes
 from .errors import InputError
 from .partitions import (
     Labels,
@@ -110,36 +104,6 @@ def _require_reachable(a: Dfa, kind: DecompositionKind) -> None:
         raise InputError(
             f"{kind.value} verification requires an automaton without unreachable states"
         )
-
-
-def _triple_bfs(a: Dfa, a1: Dfa, a2: Dfa):
-    """Joint configurations reachable by a common word, with BFS parents."""
-    cols1 = _require_same_alphabet(a, a1)
-    cols2 = _require_same_alphabet(a, a2)
-    syms = range(len(a.alphabet))
-    start = (a.initial, a1.initial, a2.initial)
-    parents: dict[tuple[int, int, int], tuple[tuple[int, int, int], int] | None] = {start: None}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
-        i, j, k = cur
-        for s in syms:
-            nxt = (a.table[i][s], a1.table[j][cols1[s]], a2.table[k][cols2[s]])
-            if nxt not in parents:
-                parents[nxt] = (cur, s)
-                order.append(nxt)
-                queue.append(nxt)
-    return order, parents
-
-
-def _word_to(parents, triple, alphabet) -> tuple[str, ...]:
-    word: list[str] = []
-    cursor = triple
-    while parents[cursor] is not None:
-        cursor, s = parents[cursor]
-        word.append(alphabet[s])
-    return tuple(reversed(word))
 
 
 def verify(

@@ -23,7 +23,3 @@ class BudgetError(Error):
     def __init__(self, message: str, estimate: int | None = None):
         self.estimate = estimate
         super().__init__(message)
-
-
-class SizeLimitError(BudgetError):
-    """A computation was refused because the structure it must build is too large."""

@@ -15,17 +15,6 @@ from .automata import Dfa, minimize, trim
 from .errors import InputError
 from .partitions import Partition
 
-FAMILY_NAMES = (
-    "ln",
-    "lkl",
-    "grid",
-    "kext",
-    "example31_min",
-    "example31_prime",
-    "a4b4_triple",
-    "sb_not_asb",
-)
-
 
 def gen_ln(n: int) -> Dfa:
     """Minimal DFA for the unary words of length at least n-1: a chain of n

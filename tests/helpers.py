@@ -37,6 +37,21 @@ def language(dfa: Dfa, max_len: int) -> frozenset[tuple[str, ...]]:
     return frozenset(w for w in words_up_to(dfa.alphabet, max_len) if accepts(dfa, w))
 
 
+def agree_up_to(a: Dfa, b: Dfa, max_len: int) -> bool:
+    """Whether a and b agree on every word of length at most max_len, walked
+    length by length over the state pairs those words reach."""
+    layer = {(a.initial, b.initial)}
+    for _ in range(max_len + 1):
+        if any((i in a.accepting) != (j in b.accepting) for i, j in layer):
+            return False
+        layer = {
+            (a.table[i][a.symbol_index(sym)], b.table[j][b.symbol_index(sym)])
+            for i, j in layer
+            for sym in a.alphabet
+        }
+    return True
+
+
 def fs(pi: Partition) -> FsPartition:
     return frozenset(frozenset(b) for b in pi.blocks)
 

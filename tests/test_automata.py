@@ -155,6 +155,23 @@ class TestEquivalent:
             words_equal = helpers.language(a, bound) == helpers.language(b, bound)
             assert equivalent(a, b) == words_equal
 
+    def test_witness_is_shortest_over_shuffled_alphabets(self):
+        rng = random.Random(23)
+        for _ in range(3000):
+            alphabet = "abc"[: rng.randint(1, 3)]
+            shuffled = rng.sample(alphabet, len(alphabet))
+            a = random_dfa(rng, rng.randint(1, 7), alphabet)
+            b = random_dfa(rng, rng.randint(1, 7), shuffled)
+            word = difference_witness(a, b)
+            assert (word is None) == helpers.agree_up_to(a, b, a.n * b.n)
+            if word is None:
+                continue
+            assert accepts(a, word) != accepts(b, word)
+            assert all(
+                accepts(a, w) == accepts(b, w)
+                for w in helpers.words_up_to(alphabet, len(word) - 1)
+            )
+
 
 class TestReachableTriples:
     def test_singletons(self):

@@ -1,8 +1,10 @@
 import io
 import json
 
+import pytest
+
 from dfadecomp import gen_a4b4_triple, gen_example31, gen_grid, parse_dfa, parse_dfas, print_dfa
-from dfadecomp.cli import main
+from dfadecomp.cli import _FAMILIES, main
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -45,6 +47,31 @@ class TestGen:
         )
         assert code == 0
         assert parse_dfa(out).n == 6
+
+    def test_triple_family_rejects_index_three(self, capsys):
+        code, out, err = run_cli(capsys, ["gen", "--family", "a4b4_triple", "--index", "3"])
+        assert code == 2 and out == ""
+        assert err == "error: --index must be 0, 1 or 2\n"
+
+    @pytest.mark.parametrize("family", list(_FAMILIES))
+    def test_every_family_writes_parseable_documents(self, family, capsys, monkeypatch):
+        required, _ = _FAMILIES[family]
+        flags = [arg for name in required for arg in (f"--{name}", "2")]
+        code, out, _ = run_cli(
+            capsys,
+            ["gen", "--family", family, *flags],
+            stdin=print_dfa(gen_grid(2, 2)),  # the base that kext extends
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert parse_dfas(out)
+
+    @pytest.mark.parametrize("family", [f for f, (required, _) in _FAMILIES.items() if required])
+    def test_missing_flags_are_all_named(self, family, capsys):
+        code, out, err = run_cli(capsys, ["gen", "--family", family])
+        missing = ", ".join(f"--{name}" for name in _FAMILIES[family][0])
+        assert code == 2 and out == ""
+        assert err == f"error: family {family!r} requires {missing}\n"
 
 
 class TestPipelines:
