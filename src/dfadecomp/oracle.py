@@ -1,14 +1,16 @@
-"""Independent brute-force ground truth at desk scale.
+"""Independent, exhaustive ground truth at desk scale.
 
-Everything here is deliberately exhaustive: partitions are enumerated one by
-one and candidate automaton pairs are generated wholesale, so the results can
-cross-check the constructive algorithms and certify that no small
-decomposition exists.
+Partitions are enumerated one by one, so ``brute_sp_partitions`` can
+cross-check the constructive lattice.  The candidate pair search certifies
+that no small decomposition exists: it enumerates the first automaton of a
+pair whole, fills in the second one's transition table an entry at a time,
+and cuts a branch as soon as the joint run through the entries set so far
+shows a conflict.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -71,7 +73,12 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class ExhaustionCertificate:
-    """Proof of work: every candidate pair within the budget was refused."""
+    """Proof of work: every candidate pair within the budget was refused.
+
+    ``candidates_examined`` is the size of the space covered, the number of
+    candidate pairs within the effective caps; ``nodes_visited`` counts the
+    partial second-automaton tables the search set an entry of.
+    """
 
     kind: DecompositionKind
     dfa_fingerprint: str
@@ -80,6 +87,7 @@ class ExhaustionCertificate:
     effective_max_2: int
     candidates_examined: int
     estimate: int
+    nodes_visited: int
 
 
 def estimate_search_space(
@@ -109,23 +117,79 @@ def estimate_search_space(
     return side(budget.max_states_1) * side(budget.max_states_2)
 
 
-def _is_bfs_canonical(flat: tuple[int, ...], k: int, s: int) -> bool:
-    """True iff BFS from state 0 discovers states exactly in index order."""
-    seen = [False] * k
-    seen[0] = True
-    next_id = 1
-    for i in range(k):
-        if not seen[i]:
-            return False
-        base = i * s
-        for a in range(s):
-            j = flat[base + a]
-            if not seen[j]:
-                if j != next_id:
-                    return False
-                seen[j] = True
-                next_id += 1
-    return next_id == k
+@functools.lru_cache(maxsize=None)
+def _choices(k: int, s: int, canonical_only: bool, p: int, seen: int) -> tuple[int, ...]:
+    """Values entry ``p`` of a flat k-state table may take such that the
+    table can still be completed; ``seen`` is the number of states the
+    prefix names, counting state 0.
+
+    Under ``canonical_only`` the breadth-first search from state 0 must
+    discover the states in index order: row ``p // s`` is filled only once
+    its state is seen, an entry names a seen state or the next one, and
+    every state is seen in the end.
+    """
+    if not canonical_only:
+        return tuple(range(k))
+    return tuple(
+        v for v in range(min(seen + 1, k)) if _table_count(k, s, True, p + 1, max(seen, v + 1))
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _table_count(k: int, s: int, canonical_only: bool, p: int = 0, seen: int = 1) -> int:
+    """Number of tables ``_table_walk`` yields below a prefix of length p."""
+    if p == k * s:
+        return int(not canonical_only or seen == k)
+    if canonical_only and p // s >= seen:
+        return 0
+    return sum(
+        _table_count(k, s, canonical_only, p + 1, max(seen, v + 1))
+        for v in _choices(k, s, canonical_only, p, seen)
+    )
+
+
+def _table_walk(
+    k: int, s: int, canonical_only: bool, search: "_PairSearch | None" = None
+) -> Iterator[list[int]]:
+    """Flat row-major transition tables of k states over s symbols, in
+    ``itertools.product(range(k), repeat=k * s)`` order.
+
+    A ``search``, if given, hears of each entry as it is set (``assign``
+    returning False cuts the subtree below it) and as it is taken back
+    (``retract``).  The yielded list is reused; copy it to keep it.
+    """
+    flat = [0] * (k * s)
+
+    def extend(p: int, seen: int) -> Iterator[list[int]]:
+        if p == len(flat):
+            yield flat
+            return
+        for v in _choices(k, s, canonical_only, p, seen):
+            flat[p] = v
+            if search is None:
+                yield from extend(p + 1, max(seen, v + 1))
+                continue
+            if search.assign(p, v):
+                yield from extend(p + 1, max(seen, v + 1))
+            search.retract()
+
+    return extend(0, 1) if _table_count(k, s, canonical_only) else iter(())
+
+
+def _rows(flat: list[int], k: int, s: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(flat[i * s : (i + 1) * s]) for i in range(k))
+
+
+def _candidate(alphabet: tuple[str, ...], table, initial: int, accepting) -> Dfa:
+    k = len(table)
+    return Dfa(
+        name=f"cand{k}",
+        states=tuple(f"s{i}" for i in range(k)),
+        alphabet=alphabet,
+        table=table,
+        initial=initial,
+        accepting=frozenset(accepting),
+    )
 
 
 def candidate_automata(
@@ -139,24 +203,121 @@ def candidate_automata(
     Accepting sets are empty unless ``accepting_subsets`` asks for all of
     them (needed only for language-level checks).
     """
-    s = len(alphabet)
-    states = tuple(f"s{i}" for i in range(k))
     acc_masks = range(1 << k) if accepting_subsets else (0,)
-    for flat in itertools.product(range(k), repeat=k * s):
-        if canonical_only and not _is_bfs_canonical(flat, k, s):
-            continue
-        table = tuple(tuple(flat[i * s : (i + 1) * s]) for i in range(k))
-        initials = (0,) if canonical_only else range(k)
-        for initial in initials:
+    for flat in _table_walk(k, len(alphabet), canonical_only):
+        table = _rows(flat, k, len(alphabet))
+        for initial in (0,) if canonical_only else range(k):
             for mask in acc_masks:
-                yield Dfa(
-                    name=f"cand{k}",
-                    states=states,
-                    alphabet=alphabet,
-                    table=table,
-                    initial=initial,
-                    accepting=frozenset(i for i in range(k) if mask >> i & 1),
-                )
+                accepting = (i for i in range(k) if mask >> i & 1)
+                yield _candidate(alphabet, table, initial, accepting)
+
+
+class _PairSearch:
+    """Triples (A, a1, a2) reachable through the a2 entries set so far.
+
+    ``a1`` is whole; ``a2`` has l states, and each of its candidate initial
+    states roots its own run.  A root dies at the kind's first conflict:
+
+    * ``si``: one pair (j, k) reaches two states of A;
+    * ``wai``: one pair reaches states that disagree on acceptance;
+    * ``ai``: a rejecting j of a1 meets an accepting state of A, or one k,
+      paired with accepting j's, meets both accepting and rejecting states.
+
+    Setting an entry only adds triples, so a dead root stays dead below that
+    entry; ``retract`` undoes the last entry through a trail.
+    """
+
+    def __init__(self, kind: DecompositionKind, a: Dfa, a1: Dfa, l: int, roots: range):
+        self.kind = kind
+        self.rows = a.table
+        self.rows1 = a1.table
+        self.final = [i in a.accepting for i in range(a.n)]
+        self.final1 = [j in a1.accepting for j in range(a1.n)]
+        self.s = len(a.alphabet)
+        self.roots = roots
+        self.flat = [0] * (l * self.s)
+        self.reached: list[list[tuple[int, int, int]]] = [[] for _ in range(l)]
+        self.seen: set[tuple[int, int, int, int]] = set()
+        self.label: dict[tuple, object] = {}  # the conflict's key -> first value
+        self.trail: list[tuple[tuple[int, int, int, int], tuple | None]] = []
+        self.marks: list[int] = []
+        self.dead: dict[int, int] = {}  # root -> depth of its conflict
+        self.nodes = 0
+        self._close([(r, a.initial, a1.initial, r) for r in roots], -1)
+
+    def alive(self) -> bool:
+        return len(self.dead) < len(self.roots)
+
+    def assign(self, p: int, v: int) -> bool:
+        self.nodes += 1
+        self.flat[p] = v
+        self.marks.append(len(self.trail))
+        k, u = divmod(p, self.s)
+        rows, rows1, dead = self.rows, self.rows1, self.dead
+        self._close(
+            [(r, rows[i][u], rows1[j][u], v) for r, i, j in self.reached[k] if r not in dead],
+            p,
+        )
+        return self.alive()
+
+    def retract(self) -> None:
+        depth = len(self.marks)
+        mark = self.marks.pop()
+        trail, seen, reached, label = self.trail, self.seen, self.reached, self.label
+        while len(trail) > mark:
+            triple, key = trail.pop()
+            seen.discard(triple)
+            reached[triple[3]].pop()
+            if key is not None:
+                del label[key]
+        for r in [r for r, d in self.dead.items() if d == depth]:
+            del self.dead[r]
+
+    def _close(self, work: list[tuple[int, int, int, int]], p: int) -> None:
+        """Add the triples in ``work`` and all they reach through entries <= p."""
+        rows, rows1, flat, s = self.rows, self.rows1, self.flat, self.s
+        final, final1, label, seen, dead = self.final, self.final1, self.label, self.seen, self.dead
+        reached, trail, kind = self.reached, self.trail, self.kind
+        depth = len(self.marks)
+        while work:
+            triple = work.pop()
+            r, i, j, k = triple
+            if r in dead or triple in seen:
+                continue
+            if kind is DecompositionKind.SI:
+                key, value = (r, j, k), i
+            elif kind is DecompositionKind.WAI:
+                key, value = (r, j, k), final[i]
+            elif final1[j]:
+                key, value = (r, k), final[i]
+            elif final[i]:
+                dead[r] = depth
+                continue
+            else:
+                key = None
+            if key is not None:
+                first = label.get(key)
+                if first is None:
+                    label[key] = value
+                elif first != value:
+                    dead[r] = depth
+                    continue
+                else:
+                    key = None  # labelled before: nothing to take back
+            seen.add(triple)
+            reached[k].append((r, i, j))
+            trail.append((triple, key))
+            base = k * s
+            for u in range(min(s, p - base + 1)):
+                work.append((r, rows[i][u], rows1[j][u], flat[base + u]))
+
+    def solution(self) -> tuple[int, frozenset[int]]:
+        """The lowest live initial state and, for ai, the accepting set its
+        run forces: the k's that meet an accepting j and accepting i."""
+        r = min(set(self.roots) - self.dead.keys())
+        if self.kind is not DecompositionKind.AI:
+            return r, frozenset()
+        return r, frozenset(k for (root, k), value in self.label.items() if root == r and value)
 
 
 def certify_undecomposable(
@@ -167,7 +328,21 @@ def certify_undecomposable(
     Budget caps are clamped below the automaton's state count, since only
     pairs of strictly smaller automata are of interest.  Returns the first
     verifying pair in the enumeration order (sizes lexicographically, then
-    table order), or a certificate that the whole space was examined.
+    ``candidate_automata`` order: table, initial state, accepting set), or a
+    certificate that the whole space was examined.
+
+    The first automaton is enumerated whole.  The second one's table is set
+    an entry at a time, in the same order, while ``_PairSearch`` follows the
+    triples reachable through the entries set so far, and a branch is cut at
+    the kind's first conflict.  This finds exactly the enumerator's first
+    pair: the triples reachable through a prefix are reachable in every
+    completion of it, so a conflict of the prefix is a conflict of all of
+    them, and the leaves are reached in table order.  At a complete table
+    the triples are the pair's reachable ones, so a root without conflict
+    verifies, and the lowest such initial state comes first.  For ``ai``, F2
+    must hold every k that meets an accepting j and an accepting state of A,
+    and no k that meets an accepting j and a rejecting one; the other k's
+    are free, so the least F2 in mask order is the forced set.
     """
     kind = _as_kind(kind)
     if kind not in (DecompositionKind.AI, DecompositionKind.SI, DecompositionKind.WAI):
@@ -188,36 +363,42 @@ def certify_undecomposable(
                 f"bound {FEASIBILITY_BOUND}",
                 estimate=estimate,
             )
+    s = len(dfa.alphabet)
+    canonical = budget.canonical_only
     with_accepting = kind is DecompositionKind.AI
-    by_size: dict[int, list[Dfa]] = {}
 
-    def candidates(k: int) -> list[Dfa]:
-        if k not in by_size:
-            by_size[k] = list(
-                candidate_automata(
-                    k,
-                    dfa.alphabet,
-                    canonical_only=budget.canonical_only,
-                    accepting_subsets=with_accepting,
-                )
-            )
-        return by_size[k]
+    def initials(k: int) -> range:
+        return range(1 if canonical else k)
 
-    examined = 0
+    nodes = 0
     for k in range(1, eff1 + 1):
+        firsts = list(candidate_automata(k, dfa.alphabet, canonical, with_accepting))
         for l in range(1, eff2 + 1):
-            for a1 in candidates(k):
-                for a2 in candidates(l):
-                    examined += 1
-                    result = verify(kind, dfa, a1, a2)
-                    if result:
+            for a1 in firsts:
+                search = _PairSearch(kind, dfa, a1, l, initials(l))
+                if search.alive():
+                    for flat in _table_walk(l, s, canonical, search):
+                        initial, accepting = search.solution()
+                        a2 = _candidate(dfa.alphabet, _rows(flat, l, s), initial, accepting)
+                        result = verify(kind, dfa, a1, a2)
+                        if not result:
+                            raise RuntimeError(f"search found a pair that verify refuses: {result}")
                         return result
+                nodes += search.nodes
+
+    def side(m: int) -> int:
+        return sum(
+            _table_count(k, s, canonical) * len(initials(k)) * (2**k if with_accepting else 1)
+            for k in range(1, m + 1)
+        )
+
     return ExhaustionCertificate(
         kind=kind,
         dfa_fingerprint=dfa.fingerprint(),
         budget=budget,
         effective_max_1=max(eff1, 0),
         effective_max_2=max(eff2, 0),
-        candidates_examined=examined,
+        candidates_examined=side(eff1) * side(eff2),
         estimate=estimate,
+        nodes_visited=nodes,
     )

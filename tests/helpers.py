@@ -12,17 +12,25 @@ import itertools
 from collections import deque
 
 from dfadecomp import (
+    BudgetError,
     Decomposition,
     DecompositionKind,
     Dfa,
+    ExhaustionCertificate,
+    InputError,
     Partition,
+    SearchBudget,
     SpLattice,
     accepts,
+    estimate_search_space,
     join,
     leq,
     meet,
     separates_finals,
+    verify,
 )
+from dfadecomp.automata import reachable_indexes
+from dfadecomp.oracle import FEASIBILITY_BOUND
 
 Block = frozenset[int]
 FsPartition = frozenset[Block]
@@ -218,4 +226,93 @@ def distributive_by_triples(lattice: SpLattice) -> bool:
         for x in elements
         for y in elements
         for z in elements
+    )
+
+
+def is_bfs_canonical(flat: tuple[int, ...], k: int, s: int) -> bool:
+    """True iff BFS from state 0 discovers states exactly in index order."""
+    seen = [False] * k
+    seen[0] = True
+    next_id = 1
+    for i in range(k):
+        if not seen[i]:
+            return False
+        base = i * s
+        for a in range(s):
+            j = flat[base + a]
+            if not seen[j]:
+                if j != next_id:
+                    return False
+                seen[j] = True
+                next_id += 1
+    return next_id == k
+
+
+def candidates_by_product(
+    k: int, alphabet: tuple[str, ...], canonical_only: bool, accepting_subsets: bool
+):
+    """Every k-state candidate: all ``itertools.product`` tables, filtered
+    after the fact, then initial state, then accepting set."""
+    s = len(alphabet)
+    states = tuple(f"s{i}" for i in range(k))
+    acc_masks = range(1 << k) if accepting_subsets else (0,)
+    for flat in itertools.product(range(k), repeat=k * s):
+        if canonical_only and not is_bfs_canonical(flat, k, s):
+            continue
+        table = tuple(tuple(flat[i * s : (i + 1) * s]) for i in range(k))
+        for initial in (0,) if canonical_only else range(k):
+            for mask in acc_masks:
+                yield Dfa(
+                    name=f"cand{k}",
+                    states=states,
+                    alphabet=alphabet,
+                    table=table,
+                    initial=initial,
+                    accepting=frozenset(i for i in range(k) if mask >> i & 1),
+                )
+
+
+def certify_by_enumeration(kind, dfa: Dfa, budget: SearchBudget):
+    """The candidate pair search by brute force: one full ``verify`` per
+    pair, in enumeration order.  Returns the first verifying pair, or a
+    certificate whose ``nodes_visited`` is the number of pairs verified."""
+    kind = DecompositionKind(kind)
+    if kind not in (DecompositionKind.AI, DecompositionKind.SI, DecompositionKind.WAI):
+        raise InputError("undecomposability search supports the ai, si and wai kinds")
+    if kind is not DecompositionKind.AI and len(reachable_indexes(dfa)) != dfa.n:
+        raise InputError(f"{kind.value} certification requires a trimmed automaton")
+    eff1 = min(budget.max_states_1, dfa.n - 1)
+    eff2 = min(budget.max_states_2, dfa.n - 1)
+    estimate = 0
+    if eff1 >= 1 and eff2 >= 1:
+        effective = SearchBudget(eff1, eff2, budget.canonical_only)
+        estimate = estimate_search_space(len(dfa.alphabet), effective, kind)
+        if estimate > FEASIBILITY_BOUND:
+            raise BudgetError("estimate exceeds the feasibility bound", estimate=estimate)
+    by_size = {
+        k: list(
+            candidates_by_product(
+                k, dfa.alphabet, budget.canonical_only, kind is DecompositionKind.AI
+            )
+        )
+        for k in range(1, max(eff1, eff2) + 1)
+    }
+    examined = 0
+    for k in range(1, eff1 + 1):
+        for l in range(1, eff2 + 1):
+            for a1 in by_size[k]:
+                for a2 in by_size[l]:
+                    examined += 1
+                    result = verify(kind, dfa, a1, a2)
+                    if result:
+                        return result
+    return ExhaustionCertificate(
+        kind=kind,
+        dfa_fingerprint=dfa.fingerprint(),
+        budget=budget,
+        effective_max_1=max(eff1, 0),
+        effective_max_2=max(eff2, 0),
+        candidates_examined=examined,
+        estimate=estimate,
+        nodes_visited=examined,
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,8 @@ from dfadecomp import (
     canonical_form,
     certify_undecomposable,
     estimate_search_space,
+    gen_a4b4_triple,
+    gen_example31,
     gen_grid,
     gen_lkl,
     gen_ln,
@@ -75,6 +78,15 @@ class TestCandidates:
             assert canon.n == cand.n
             assert canon.table == cand.table
             assert canon.initial == cand.initial
+
+    @pytest.mark.parametrize("canonical_only", [True, False], ids=["canonical", "all"])
+    def test_table_walk_matches_filtered_product(self, canonical_only):
+        for alphabet in (("a",), ("a", "b")):
+            for k in (1, 2, 3):
+                walked = list(candidate_automata(k, alphabet, canonical_only, True))
+                assert walked == list(
+                    helpers.candidates_by_product(k, alphabet, canonical_only, True)
+                )
 
     def test_canonical_enumeration_is_complete_up_to_isomorphism(self):
         rng = random.Random(47)
@@ -151,3 +163,63 @@ class TestCertify:
         assert r1.a1.table == r2.a1.table
         assert r1.a2.table == r2.a2.table
         assert r1.a1.accepting == r2.a1.accepting
+        # ... and it is the enumerator's first verifying pair.
+        for kind, dfa, budget in (
+            ("ai", gen_lkl(2, 2), SearchBudget(3, 3)),
+            ("si", gen_example31()[1], SearchBudget(3, 4)),
+        ):
+            first = helpers.certify_by_enumeration(kind, dfa, budget)
+            assert isinstance(first, Decomposition)
+            assert _outcome(certify_undecomposable(kind, dfa, budget)) == _outcome(first)
+
+    def test_search_prunes_below_a_tenth_of_the_pairs(self):
+        cert = certify_undecomposable("si", gen_a4b4_triple()[0], SearchBudget(3, 3))
+        assert isinstance(cert, ExhaustionCertificate)
+        assert cert.candidates_examined == 52441 == 229**2
+        assert cert.nodes_visited * 10 < cert.candidates_examined
+
+
+def _outcome(result):
+    """What a search answered: the found pair with its witness, or the
+    certificate without the search's own node count."""
+    if isinstance(result, ExhaustionCertificate):
+        return dataclasses.replace(result, nodes_visited=0)
+    return (result.kind, result.a1, result.a2, result.witness)
+
+
+# Upper bound on the estimated pairs of one differential case.
+ENUMERATION_CAP = 20000
+
+
+def _random_case(seed: int, canonical_only: bool):
+    """A trimmed automaton of 2-6 states over 1-2 symbols, a kind and a
+    budget of at most (3, 2) whose candidate pairs the enumerator runs
+    through in milliseconds."""
+    rng = random.Random(seed)
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    a = random_dfa(rng, rng.randint(2, 6), alphabet, trim_unreachable=True)
+    while a.n < 2:
+        a = random_dfa(rng, rng.randint(2, 6), alphabet, trim_unreachable=True)
+    kind = ("ai", "si", "wai")[seed % 3]
+    while True:
+        budget = SearchBudget(rng.randint(1, 3), rng.randint(1, 2), canonical_only)
+        effective = SearchBudget(
+            min(budget.max_states_1, a.n - 1), min(budget.max_states_2, a.n - 1), canonical_only
+        )
+        if estimate_search_space(len(alphabet), effective, kind) <= ENUMERATION_CAP:
+            return kind, a, budget
+
+
+@pytest.mark.parametrize("canonical_only", [True, False], ids=["canonical", "all"])
+def test_search_matches_the_enumerator(canonical_only):
+    outcomes = set()
+    for seed in range(90):
+        kind, a, budget = _random_case(seed, canonical_only)
+        found = certify_undecomposable(kind, a, budget)
+        assert _outcome(found) == _outcome(helpers.certify_by_enumeration(kind, a, budget)), (
+            seed,
+            kind,
+            budget,
+        )
+        outcomes.add((kind, type(found)))
+    assert len(outcomes) == 6  # every kind both found a pair and certified
