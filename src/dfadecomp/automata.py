@@ -12,7 +12,6 @@ through it.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -173,25 +172,22 @@ def reachable_indexes(dfa: Dfa) -> list[int]:
     seen = [False] * dfa.n
     seen[dfa.initial] = True
     order = [dfa.initial]
-    queue = deque(order)
-    while queue:
-        i = queue.popleft()
+    for i in order:  # ``order`` grows while this loop runs
         for j in dfa.table[i]:
             if not seen[j]:
                 seen[j] = True
                 order.append(j)
-                queue.append(j)
     return order
 
 
-def trim(dfa: Dfa, name: str | None = None) -> Dfa:
+def trim(dfa: Dfa) -> Dfa:
     """Restriction to the reachable states, original state order preserved."""
     keep = sorted(reachable_indexes(dfa))
     if len(keep) == dfa.n:
-        return dfa if name is None else _renamed(dfa, name)
+        return dfa
     remap = {old: new for new, old in enumerate(keep)}
     return Dfa(
-        name=name if name is not None else dfa.name,
+        name=dfa.name,
         states=tuple(dfa.states[i] for i in keep),
         alphabet=dfa.alphabet,
         table=tuple(tuple(remap[dfa.table[i][a]] for a in range(len(dfa.alphabet))) for i in keep),
@@ -200,21 +196,22 @@ def trim(dfa: Dfa, name: str | None = None) -> Dfa:
     )
 
 
-def _renamed(dfa: Dfa, name: str) -> Dfa:
-    return Dfa(name, dfa.states, dfa.alphabet, dfa.table, dfa.initial, dfa.accepting)
-
-
 def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
     """Minimal DFA for the same language, plus the merging map.
 
-    Unreachable states are removed first, then Moore partition refinement
-    merges behaviorally equivalent states.  The returned map sends every
-    reachable state of the input onto the state of the result that simulates
-    it, so ``f(run(dfa, w)) == run(result, w)`` for every word ``w``.
+    Unreachable states are removed first; the result is then the quotient
+    by the Moore partition, the coarsest substitution-property partition
+    that refines the accepting/rejecting split, found by refinement rounds.
+    The returned map sends every reachable state of the input onto the state
+    of the result that simulates it, so ``f(run(dfa, w)) == run(result, w)``
+    for every word ``w``.
 
     Merged states are named by joining the member names with ``+`` in the
     original state order.
     """
+    # partitions imports Dfa from this module, so import from it at call time.
+    from .partitions import Partition, quotient
+
     base = trim(dfa)
     n = base.n
     syms = range(len(base.alphabet))
@@ -230,27 +227,10 @@ def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
         if new_block == block:
             break
         block = new_block
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(block[i], []).append(i)
-    ordered = sorted(groups.values(), key=lambda g: g[0])
-    block_pos = {}
-    for pos, members in enumerate(ordered):
-        for i in members:
-            block_pos[i] = pos
-    names = tuple("+".join(base.states[i] for i in members) for members in ordered)
-    table = tuple(
-        tuple(block_pos[base.table[members[0]][a]] for a in syms) for members in ordered
-    )
-    result = Dfa(
-        name=dfa.name + "_min",
-        states=names,
-        alphabet=base.alphabet,
-        table=table,
-        initial=block_pos[base.initial],
-        accepting=frozenset(block_pos[i] for i in base.accepting),
-    )
-    mapping: StateMap = {base.states[i]: names[block_pos[i]] for i in range(n)}
+    pi = Partition.from_assignment(block)
+    accepting = {pi.block_index[i] for i in base.accepting}
+    result = quotient(base, pi, accepting, name=dfa.name + "_min")
+    mapping: StateMap = {base.states[i]: result.states[pi.block_index[i]] for i in range(n)}
     return result, mapping
 
 
@@ -297,16 +277,13 @@ def _triple_bfs(a: Dfa, a1: Dfa, a2: Dfa):
     start = (a.initial, a1.initial, a2.initial)
     parents: dict[tuple[int, int, int], tuple[tuple[int, int, int], int] | None] = {start: None}
     order = [start]
-    queue = deque([start])
-    while queue:
-        cur = queue.popleft()
+    for cur in order:  # ``order`` grows while this loop runs
         i, j, k = cur
         for s in syms:
             nxt = (a.table[i][s], a1.table[j][cols1[s]], a2.table[k][cols2[s]])
             if nxt not in parents:
                 parents[nxt] = (cur, s)
                 order.append(nxt)
-                queue.append(nxt)
     return order, parents
 
 
@@ -352,15 +329,12 @@ def canonical_form(dfa: Dfa, sort_alphabet: bool = False) -> Dfa:
     cols = [dfa.symbol_index(a) for a in alphabet]
     order: list[int] = [dfa.initial]
     number = {dfa.initial: 0}
-    queue = deque(order)
-    while queue:
-        i = queue.popleft()
+    for i in order:  # ``order`` grows while this loop runs
         for c in cols:
             j = dfa.table[i][c]
             if j not in number:
                 number[j] = len(number)
                 order.append(j)
-                queue.append(j)
     table = tuple(tuple(number[dfa.table[i][c]] for c in cols) for i in order)
     return Dfa(
         name=dfa.name,

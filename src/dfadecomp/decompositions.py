@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 from .automata import Dfa, _triple_bfs, _word_to, minimize, reachable_indexes
 from .errors import InputError
@@ -173,23 +173,20 @@ def verify(
     return Decomposition(kind, a1, a2, alpha)
 
 
-def _ordered_pair(x: Partition, y: Partition) -> tuple[Partition, Partition]:
-    return (x, y) if (x.num_blocks, x.blocks) <= (y.num_blocks, y.blocks) else (y, x)
-
-
 def _entry_from_partitions(
     a: Dfa,
     kind: DecompositionKind,
     pa: Partition,
     pb: Partition,
-    acc1: Iterable[int],
-    acc2: Iterable[int],
-    witness_override: object = None,
+    separation: SeparationWitness | None = None,
 ) -> Decomposition:
+    """The quotient pair of (pa, pb) with its kind's witness; the quotients
+    accept the blocks that ``separation`` picks, or none without one."""
+    acc1, acc2 = (separation.blocks_from_1, separation.blocks_from_2) if separation else ((), ())
     a1 = quotient(a, pa, acc1, name=f"{a.name}_q1")
     a2 = quotient(a, pb, acc2, name=f"{a.name}_q2")
-    if witness_override is not None or kind is DecompositionKind.AI:
-        witness = witness_override
+    if kind is DecompositionKind.AI:
+        witness = separation
     elif kind is DecompositionKind.WAI:
         witness = frozenset(
             (a1.states[i], a2.states[j])
@@ -250,26 +247,16 @@ def _emission_condition(
 def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
     lattice = sp_lattice(a)
     condition = _emission_condition(kind, a)
+    # Every condition is symmetric, so scanning the elements coarsest first
+    # yields each pair in its reported orientation.
+    factors = sorted(lattice.nontrivial(), key=lambda pi: (pi.num_blocks, pi.blocks))
     entries = []
-    for x, y in itertools.combinations_with_replacement(lattice.nontrivial(), 2):
-        outcome = condition(x.block_index, y.block_index)
+    for pa, pb in itertools.combinations_with_replacement(factors, 2):
+        outcome = condition(pa.block_index, pb.block_index)
         if not outcome:
             continue
-        pa, pb = _ordered_pair(x, y)
-        if isinstance(outcome, SeparationWitness):
-            if pa is not x:
-                outcome = SeparationWitness(outcome.blocks_from_2, outcome.blocks_from_1)
-            d = _entry_from_partitions(
-                a,
-                kind,
-                pa,
-                pb,
-                outcome.blocks_from_1,
-                outcome.blocks_from_2,
-                witness_override=outcome if kind is DecompositionKind.AI else None,
-            )
-        else:
-            d = _entry_from_partitions(a, kind, pa, pb, (), ())
+        separation = outcome if isinstance(outcome, SeparationWitness) else None
+        d = _entry_from_partitions(a, kind, pa, pb, separation)
         entries.append(
             ReportEntry(
                 decomposition=d,
@@ -374,7 +361,7 @@ def project_to_minimal(a: Dfa, d: Decomposition) -> Decomposition | Refusal:
         raise RuntimeError(
             "internal invariant violated: projected partitions do not meet to zero"
         )
-    return _entry_from_partitions(mdfa, DecompositionKind.SB, p1, p2, (), ())
+    return _entry_from_partitions(mdfa, DecompositionKind.SB, p1, p2)
 
 
 def transfer_to_minimal(

@@ -389,8 +389,6 @@ def quotient(
     ``accepting_blocks`` are block positions into ``pi``.  Block states are
     named by joining their member names with ``+``.
     """
-    if pi.n != dfa.n:
-        raise InputError("partition does not cover the automaton's state set")
     if not is_sp(dfa, pi):
         raise InputError("partition lacks the substitution property")
     acc = set()

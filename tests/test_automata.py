@@ -234,6 +234,11 @@ class TestQuotient:
         with pytest.raises(InputError):
             quotient(a, bad, ())
 
+    def test_partition_of_another_size_rejected(self):
+        a = gen_grid(2, 2)
+        with pytest.raises(InputError, match="does not cover the automaton's state set"):
+            quotient(a, Partition.singletons(a.n + 1), ())
+
 
 class TestTrimCanonical:
     def test_trim_drops_unreachable(self):

@@ -226,3 +226,101 @@ class TestJsonReport:
         )
         assert code == 0
         assert all(e["perfect"] for e in json.loads(out))
+
+
+GRID_2X3_AI = """\
+# 15 ai decomposition(s) of grid2x3
+ai a1=2 a2=3 nontrivial=yes perfect=yes redundant=no pi1={q0_0,q0_1,q0_2|q1_0,q1_1,q1_2} pi2={q0_0,q1_0|q0_1,q1_1|q0_2,q1_2}
+ai a1=2 a2=4 nontrivial=yes perfect=no redundant=yes pi1={q0_0,q0_1,q0_2|q1_0,q1_1,q1_2} pi2={q0_0|q0_1,q1_1|q0_2,q1_2|q1_0}
+ai a1=2 a2=5 nontrivial=yes perfect=no redundant=yes pi1={q0_0,q0_1,q0_2|q1_0,q1_1,q1_2} pi2={q0_0|q0_1|q0_2,q1_2|q1_0|q1_1}
+ai a1=3 a2=3 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1,q0_2|q1_0,q1_1,q1_2} pi2={q0_0,q1_0|q0_1,q1_1|q0_2,q1_2}
+ai a1=3 a2=4 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1,q0_2|q1_0,q1_1,q1_2} pi2={q0_0|q0_1,q1_1|q0_2,q1_2|q1_0}
+ai a1=3 a2=4 nontrivial=yes perfect=no redundant=yes pi1={q0_0,q1_0|q0_1,q1_1|q0_2,q1_2} pi2={q0_0|q0_1|q0_2|q1_0,q1_1,q1_2}
+ai a1=3 a2=4 nontrivial=yes perfect=no redundant=yes pi1={q0_0,q1_0|q0_1,q1_1|q0_2,q1_2} pi2={q0_0|q0_1,q0_2|q1_0|q1_1,q1_2}
+ai a1=3 a2=5 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1,q0_2|q1_0,q1_1,q1_2} pi2={q0_0|q0_1|q0_2,q1_2|q1_0|q1_1}
+ai a1=3 a2=5 nontrivial=yes perfect=no redundant=yes pi1={q0_0,q1_0|q0_1,q1_1|q0_2,q1_2} pi2={q0_0|q0_1|q0_2|q1_0|q1_1,q1_2}
+ai a1=4 a2=4 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1|q0_2|q1_0,q1_1,q1_2} pi2={q0_0|q0_1,q1_1|q0_2,q1_2|q1_0}
+ai a1=4 a2=4 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1,q0_2|q1_0|q1_1,q1_2} pi2={q0_0|q0_1,q1_1|q0_2,q1_2|q1_0}
+ai a1=4 a2=5 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1|q0_2|q1_0,q1_1,q1_2} pi2={q0_0|q0_1|q0_2,q1_2|q1_0|q1_1}
+ai a1=4 a2=5 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1,q0_2|q1_0|q1_1,q1_2} pi2={q0_0|q0_1|q0_2,q1_2|q1_0|q1_1}
+ai a1=4 a2=5 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1,q1_1|q0_2,q1_2|q1_0} pi2={q0_0|q0_1|q0_2|q1_0|q1_1,q1_2}
+ai a1=5 a2=5 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1|q0_2|q1_0|q1_1,q1_2} pi2={q0_0|q0_1|q0_2,q1_2|q1_0|q1_1}
+"""
+
+
+class TestGoldenOutput:
+    """Exact stdout of a few runs: names, block order, entry order and
+    orientation, and the word a refusal reports."""
+
+    def test_minimize_names_merged_blocks_in_state_order(self, capsys, monkeypatch):
+        _, a_prime = gen_example31()
+        code, out, _ = run_cli(
+            capsys, ["minimize"], stdin=print_dfa(a_prime), monkeypatch=monkeypatch
+        )
+        assert code == 0
+        assert out == (
+            "dfa example31_prime_min\n"
+            "alphabet a b\n"
+            "states a0 a1 b0 b1 R0+R1\n"
+            "initial a0\n"
+            "accepting a0 b0\n"
+            "trans a0 a a1\n"
+            "trans a0 b b1\n"
+            "trans a1 a a0\n"
+            "trans a1 b R0+R1\n"
+            "trans b0 a R0+R1\n"
+            "trans b0 b b1\n"
+            "trans b1 a R0+R1\n"
+            "trans b1 b b0\n"
+            "trans R0+R1 a R0+R1\n"
+            "trans R0+R1 b R0+R1\n"
+            "end\n"
+        )
+
+    def test_decompose_ai_text_order_and_orientation(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            capsys,
+            ["decompose", "--kind", "ai"],
+            stdin=print_dfa(gen_grid(2, 3)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out == GRID_2X3_AI
+
+    def test_decompose_asb_json(self, capsys, monkeypatch):
+        from dfadecomp import gen_lkl
+
+        code, out, _ = run_cli(
+            capsys,
+            ["decompose", "--kind", "asb", "--format", "json"],
+            stdin=print_dfa(gen_lkl(2, 3)),
+            monkeypatch=monkeypatch,
+        )
+        expected = {
+            "kind": "asb",
+            "a1_states": 2,
+            "a2_states": 3,
+            "nontrivial": True,
+            "perfect": True,
+            "redundant": False,
+            "partitions": [
+                [["q0_0", "q0_1", "q0_2"], ["q1_0", "q1_1", "q1_2"]],
+                [["q0_0", "q1_0"], ["q0_1", "q1_1"], ["q0_2", "q1_2"]],
+            ],
+            "witness_kind": "embedding",
+        }
+        assert code == 0
+        assert out == json.dumps([expected], indent=2) + "\n"
+
+    def test_verify_refusal_names_the_first_word_in_bfs_order(self, capsys, tmp_path):
+        # The shortest words grid(2,3) accepts, abb, bab and bba, all lie outside
+        # example31_min; breadth-first search in alphabet order reaches abb first.
+        a_min, _ = gen_example31()
+        paths = {}
+        for key, dfa in (("grid", gen_grid(2, 3)), ("min", a_min)):
+            paths[key] = tmp_path / f"{key}.dfa"
+            paths[key].write_text(print_dfa(dfa))
+        argv = ["verify", "--kind", "ai", *map(str, (paths["grid"], paths["grid"], paths["min"]))]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 1
+        assert out == "ai: refused: languages differ on word 'abb'\n"
