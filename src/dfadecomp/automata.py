@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .errors import InputError
 
@@ -46,6 +46,7 @@ class Dfa:
     _symbol_index: dict[str, int] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _fingerprint: str | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n, s = len(self.states), len(self.alphabet)
@@ -126,10 +127,6 @@ class Dfa:
     def initial_state(self) -> str:
         return self.states[self.initial]
 
-    @property
-    def accepting_states(self) -> frozenset[str]:
-        return frozenset(self.states[i] for i in self.accepting)
-
     def state_index(self, q: str) -> int:
         try:
             return self._state_index[q]
@@ -143,22 +140,21 @@ class Dfa:
             raise InputError(f"symbol {a!r} is not in the alphabet") from None
 
     def fingerprint(self) -> str:
-        """Stable identity of the transition structure (name excluded)."""
-        payload = repr(
-            (self.states, self.alphabet, self.table, self.initial, sorted(self.accepting))
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
-def _symbol_indexes(dfa: Dfa, word: Word) -> Iterator[int]:
-    for a in word:
-        yield dfa.symbol_index(a)
+        """Stable identity of the transition structure (name excluded),
+        computed on the first call and kept."""
+        if self._fingerprint is None:
+            payload = repr(
+                (self.states, self.alphabet, self.table, self.initial, sorted(self.accepting))
+            )
+            digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
+            object.__setattr__(self, "_fingerprint", digest)
+        return self._fingerprint
 
 
 def run(dfa: Dfa, word: Word) -> str:
     """State reached from the initial state after reading ``word``."""
     i = dfa.initial
-    for a in _symbol_indexes(dfa, word):
+    for a in map(dfa.symbol_index, word):
         i = dfa.table[i][a]
     return dfa.states[i]
 

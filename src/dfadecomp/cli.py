@@ -51,17 +51,14 @@ _WITNESS_KIND = {
 }
 
 
-def _read_text(path: str | None) -> str:
+def _load_dfa(path: str | None) -> Dfa:
     if path is None or path == "-":
-        return sys.stdin.read()
+        return parse_dfa(sys.stdin.read())
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
-
-
-def _load_dfa(path: str | None) -> Dfa:
-    return parse_dfa(_read_text(path))
+    return parse_dfa(text)
 
 
 def _gen_a4b4_triple(args: argparse.Namespace) -> list[Dfa]:

@@ -318,6 +318,8 @@ def is_redundant(
     if d.source_partitions is None:
         raise InputError("redundancy is defined for decompositions built from partitions")
     lat = lattice if lattice is not None else sp_lattice(a)
+    if lat.dfa_fingerprint != a.fingerprint():
+        raise InputError("lattice was built for another automaton")
     condition = _emission_condition(d.kind, a)
     p1, p2 = d.source_partitions
     if p1 not in lat or p2 not in lat:

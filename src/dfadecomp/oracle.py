@@ -95,26 +95,32 @@ def estimate_search_space(
     budget: SearchBudget,
     kind: "DecompositionKind | str" = DecompositionKind.WAI,
 ) -> int:
-    """Upper bound on the number of candidate pairs the budget allows.
+    """Upper bound on the number of candidate pairs the budget allows: the
+    pair count over all ``k**(s*k)`` transition tables of each size k."""
+    return _pair_count(
+        budget.max_states_1,
+        budget.max_states_2,
+        budget.canonical_only,
+        _as_kind(kind),
+        lambda k: k ** (alphabet_size * k),
+    )
 
-    Per side and size k this counts ``k**(s*k)`` transition tables, times k
-    initial states (dropped under ``canonical_only``, which pins the initial
-    state), times ``2**k`` accepting sets for the ``ai`` kind only.
-    """
-    kind = _as_kind(kind)
 
-    def side(max_states: int) -> int:
-        total = 0
-        for k in range(1, max_states + 1):
-            count = k ** (alphabet_size * k)
-            if not budget.canonical_only:
-                count *= k
-            if kind is DecompositionKind.AI:
-                count *= 2**k
-            total += count
-        return total
+def _pair_count(m1: int, m2: int, canonical_only: bool, kind: DecompositionKind, tables) -> int:
+    """Candidate pairs of up to m1 and m2 states.  Per side and size k this
+    counts ``tables(k)`` transition tables, times k initial states (dropped
+    under ``canonical_only``, which pins the initial state), times ``2**k``
+    accepting sets for the ``ai`` kind only; a cap of 0 counts nothing."""
 
-    return side(budget.max_states_1) * side(budget.max_states_2)
+    def side(m: int) -> int:
+        return sum(
+            tables(k)
+            * (1 if canonical_only else k)
+            * (2**k if kind is DecompositionKind.AI else 1)
+            for k in range(1, m + 1)
+        )
+
+    return side(m1) * side(m2)
 
 
 @functools.lru_cache(maxsize=None)
@@ -353,29 +359,21 @@ def certify_undecomposable(
         )
     eff1 = min(budget.max_states_1, dfa.n - 1)
     eff2 = min(budget.max_states_2, dfa.n - 1)
-    estimate = 0
-    if eff1 >= 1 and eff2 >= 1:
-        effective = SearchBudget(eff1, eff2, budget.canonical_only)
-        estimate = estimate_search_space(len(dfa.alphabet), effective, kind)
-        if estimate > FEASIBILITY_BOUND:
-            raise BudgetError(
-                f"estimated candidate count {estimate} exceeds the feasibility "
-                f"bound {FEASIBILITY_BOUND}",
-                estimate=estimate,
-            )
     s = len(dfa.alphabet)
     canonical = budget.canonical_only
-    with_accepting = kind is DecompositionKind.AI
-
-    def initials(k: int) -> range:
-        return range(1 if canonical else k)
-
+    estimate = _pair_count(eff1, eff2, canonical, kind, lambda k: k ** (s * k))
+    if estimate > FEASIBILITY_BOUND:
+        raise BudgetError(
+            f"estimated candidate count {estimate} exceeds the feasibility "
+            f"bound {FEASIBILITY_BOUND}",
+            estimate=estimate,
+        )
     nodes = 0
     for k in range(1, eff1 + 1):
-        firsts = list(candidate_automata(k, dfa.alphabet, canonical, with_accepting))
+        firsts = list(candidate_automata(k, dfa.alphabet, canonical, kind is DecompositionKind.AI))
         for l in range(1, eff2 + 1):
             for a1 in firsts:
-                search = _PairSearch(kind, dfa, a1, l, initials(l))
+                search = _PairSearch(kind, dfa, a1, l, range(1 if canonical else l))
                 if search.alive():
                     for flat in _table_walk(l, s, canonical, search):
                         initial, accepting = search.solution()
@@ -386,19 +384,15 @@ def certify_undecomposable(
                         return result
                 nodes += search.nodes
 
-    def side(m: int) -> int:
-        return sum(
-            _table_count(k, s, canonical) * len(initials(k)) * (2**k if with_accepting else 1)
-            for k in range(1, m + 1)
-        )
-
     return ExhaustionCertificate(
         kind=kind,
         dfa_fingerprint=dfa.fingerprint(),
         budget=budget,
-        effective_max_1=max(eff1, 0),
-        effective_max_2=max(eff2, 0),
-        candidates_examined=side(eff1) * side(eff2),
+        effective_max_1=eff1,
+        effective_max_2=eff2,
+        candidates_examined=_pair_count(
+            eff1, eff2, canonical, kind, lambda k: _table_count(k, s, canonical)
+        ),
         estimate=estimate,
         nodes_visited=nodes,
     )

@@ -133,9 +133,6 @@ class Partition:
         """True for the all-singletons and the one-block partition."""
         return self.num_blocks == self.n or self.num_blocks == 1
 
-    def block_of(self, i: int) -> tuple[int, ...]:
-        return self.blocks[self.block_index[i]]
-
     def same_block(self, i: int, j: int) -> bool:
         return self.block_index[i] == self.block_index[j]
 
@@ -216,8 +213,8 @@ def _min_sp_merging_labels(dfa: Dfa, p: int, t: int) -> Labels:
 class SpLattice:
     """Every substitution-property partition of one DFA, with atom provenance.
 
-    ``elements`` run from the finest partition (``bottom``) to the coarsest
-    (``top``), and ``index`` maps each element to its position there.
+    ``elements`` run from the finest partition to the coarsest, and ``index``
+    maps each element to its position there.
     ``atoms`` maps each unordered state-name pair to the finest S.P. partition
     merging that pair; every element of the lattice is a join of atoms.
     ``above[i]`` holds the positions of the distinct joins of
@@ -238,20 +235,8 @@ class SpLattice:
     def __contains__(self, pi: Partition) -> bool:
         return pi in self.index
 
-    @property
-    def bottom(self) -> Partition:
-        return self.elements[0]
-
-    @property
-    def top(self) -> Partition:
-        return self.elements[-1]
-
     def nontrivial(self) -> list[Partition]:
         return [pi for pi in self.elements if not pi.is_trivial()]
-
-
-def _element_sort_key(pi: Partition):
-    return (-pi.num_blocks, pi.blocks)
 
 
 def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
@@ -295,7 +280,9 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
             if _meet_labels(x, y) not in position:
                 raise RuntimeError("internal invariant violated: lattice not meet-closed")
     partitions = [Partition._from_canonical(z) for z in found]
-    order = sorted(range(len(found)), key=lambda k: _element_sort_key(partitions[k]))
+    order = sorted(
+        range(len(found)), key=lambda k: (-partitions[k].num_blocks, partitions[k].blocks)
+    )
     rank = {k: r for r, k in enumerate(order)}
     return SpLattice(
         dfa_fingerprint=dfa.fingerprint(),

@@ -75,6 +75,61 @@ class TestDfaConstruction:
         with pytest.raises(InputError):
             Dfa.build("x", ("p",), ("a",), {("p", "a"): "p"}, "q", ())
 
+    @pytest.mark.parametrize(
+        "states, alphabet, table, initial, accepting, message",
+        [
+            ((), ("a",), (), 0, (), "automaton needs at least one state"),
+            (("p", "p"), ("a",), ((0,), (1,)), 0, (), "state names are not pairwise distinct"),
+            (("p",), ("a", "a"), ((0, 0),), 0, (), "alphabet symbols are not pairwise distinct"),
+            (
+                ("p", "q"),
+                ("a", "b"),
+                ((0, 1), (1,)),
+                0,
+                (),
+                "transition table shape does not match states and alphabet",
+            ),
+            (
+                ("p",),
+                ("a",),
+                ((0,), (0,)),
+                0,
+                (),
+                "transition table shape does not match states and alphabet",
+            ),
+            (("p",), ("a",), ((5,),), 0, (), "transition target index 5 out of range"),
+            (("p",), ("a",), ((-1,),), 0, (), "transition target index -1 out of range"),
+            (("p",), ("a",), ((0,),), 1, (), "initial state is not a state of the automaton"),
+            (("p",), ("a",), ((0,),), 0, (3,), "accepting set is not a subset of the states"),
+        ],
+    )
+    def test_constructor_messages(self, states, alphabet, table, initial, accepting, message):
+        with pytest.raises(InputError) as exc:
+            Dfa("x", states, alphabet, table, initial, frozenset(accepting))
+        assert type(exc.value) is InputError
+        assert str(exc.value) == message
+
+    # Dfa.build's duplicate-transition raise is left out: ``delta`` is a
+    # mapping, so a plain dict cannot carry one (state, symbol) key twice.
+    @pytest.mark.parametrize(
+        "states, alphabet, delta, initial, accepting, message",
+        [
+            (("p", "p"), ("a",), {}, "p", (), "state names are not pairwise distinct"),
+            (("p",), ("a", "a"), {}, "p", (), "alphabet symbols are not pairwise distinct"),
+            (("p",), ("a",), {("r", "a"): "p"}, "p", (), "transition from unknown state 'r'"),
+            (("p",), ("a",), {("p", "c"): "p"}, "p", (), "transition on unknown symbol 'c'"),
+            (("p",), ("a",), {("p", "a"): "r"}, "p", (), "transition to unknown state 'r'"),
+            (("p", "q"), ("a",), {("p", "a"): "q"}, "p", (), "missing transition for ('q', 'a')"),
+            (("p",), ("a",), {("p", "a"): "p"}, "r", (), "initial state 'r' is not a state"),
+            (("p",), ("a",), {("p", "a"): "p"}, "p", ("r",), "accepting state 'r' is not a state"),
+        ],
+    )
+    def test_build_messages(self, states, alphabet, delta, initial, accepting, message):
+        with pytest.raises(InputError) as exc:
+            Dfa.build("x", states, alphabet, delta, initial, accepting)
+        assert type(exc.value) is InputError
+        assert str(exc.value) == message
+
 
 class TestMinimize:
     def test_example31_six_states_to_five(self):

@@ -29,6 +29,7 @@ from dfadecomp import (
     project_to_minimal,
     quotient,
     random_dfa,
+    sp_lattice,
     transfer_to_minimal,
     trim,
     verify,
@@ -303,6 +304,21 @@ class TestRedundancy:
         d = verify("ai", a, a1, a2)
         with pytest.raises(InputError):
             is_redundant(a, d)
+
+    def test_lattice_of_another_automaton_rejected(self):
+        # grid(2, 3) and lkl(2, 3) share their state count and every S.P.
+        # partition the lkl entries use, so only the fingerprint tells the
+        # lattices apart; on grid's lattice the (2, 3) entries read redundant.
+        a, other = gen_lkl(2, 3), sp_lattice(gen_grid(2, 3))
+        for decompose in (decompose_ai_sufficient, decompose_wai_sufficient):
+            entry = next(
+                e for e in decompose(a).entries
+                if (e.decomposition.a1.n, e.decomposition.a2.n) == (2, 3)
+            )
+            assert not entry.redundant
+            assert not is_redundant(a, entry.decomposition, lattice=sp_lattice(a))
+            with pytest.raises(InputError, match="lattice was built for another automaton"):
+                is_redundant(a, entry.decomposition, lattice=other)
 
 
 class TestProjectToMinimal:

@@ -5,6 +5,7 @@ from dfadecomp import (
     Dfa,
     InputError,
     ParseError,
+    Partition,
     export_dot,
     format_partition,
     gen_example31,
@@ -112,6 +113,146 @@ class TestParseErrors:
             "initial q0", "initial q0  # start here"
         )
         assert parse_dfa(text) == gen_ln(2)
+
+
+def _doc(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+_HEAD = ("dfa x", "alphabet a b", "states p q", "initial p", "accepting q")
+_TRANS = ("trans p a q", "trans p b p", "trans q a p", "trans q b q")
+
+
+# (text, exact message, line) for every raise of parse_dfa and the document
+# parser behind it.  The line is the one reported, or None without one.
+PARSE_DFA_ERRORS = [
+    ("", "empty input", None),
+    ("# only a comment\n\n", "empty input", None),
+    (_doc("dfa x"), "unexpected end of input, expected 'alphabet' line", 1),
+    (_doc("dfa x", "states p"), "expected 'alphabet' line, found 'states'", 2),
+    (_doc("dfa x y"), "'dfa' line takes exactly one name", 1),
+    (_doc("dfa x", "alphabet"), "'alphabet' line needs at least one symbol", 2),
+    (_doc("dfa x", "alphabet a a"), "duplicate symbol in alphabet", 2),
+    (_doc("dfa x", "alphabet a", "states"), "'states' line needs at least one state", 3),
+    (_doc("dfa x", "alphabet a", "states p p"), "duplicate state name", 3),
+    (_doc(*_HEAD[:3], "initial p q"), "'initial' line takes exactly one state", 4),
+    (_doc(*_HEAD[:3], "initial r"), "initial state 'r' is not a listed state", 4),
+    (_doc(*_HEAD[:4], "accepting q r"), "accepting state 'r' is not a listed state", 5),
+    (_doc(*_HEAD[:4], "trans p a q"), "expected 'accepting' line, found 'trans'", 5),
+    (_doc(*_HEAD, *_TRANS, "end now"), "'end' line takes no arguments", 10),
+    (_doc(*_HEAD, "goto p"), "expected 'trans' or 'end' line, found 'goto'", 6),
+    (_doc(*_HEAD, "trans p a"), "'trans' line takes: state symbol state", 6),
+    (_doc(*_HEAD, "trans r a p"), "transition from unknown state 'r'", 6),
+    (_doc(*_HEAD, "trans p c p"), "transition on unknown symbol 'c'", 6),
+    (_doc(*_HEAD, "trans p a r"), "transition to unknown state 'r'", 6),
+    (_doc(*_HEAD, "trans p a q", "trans p a p"), "duplicate transition for ('p', 'a')", 7),
+    (_doc(*_HEAD, *_TRANS, "", "# no end"), "missing 'end' line", 9),
+    (
+        _doc(*_HEAD, *_TRANS[:2], _TRANS[3], "end"),
+        "automaton is not complete: missing transition for ('q', 'a')",
+        9,
+    ),
+    (_doc(*_HEAD, *_TRANS, "end", "dfa y"), "trailing content after 'end'", 11),
+]
+
+PARSE_DFAS_ERRORS = [
+    ("\n", "empty input", None),
+    (_doc(*_HEAD, *_TRANS, "end", "junk"), "expected 'dfa' line, found 'junk'", 11),
+    (
+        _doc(*_HEAD, *_TRANS, "end", "dfa y", "alphabet a"),
+        "unexpected end of input, expected 'states' line",
+        12,
+    ),
+]
+
+
+def _assert_parse_error(call, text, message, line):
+    with pytest.raises(ParseError) as exc:
+        call(text)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
+
+
+class TestValidationMessages:
+    """Every raise of the readers, with its exact message and line: the
+    messages are part of the command-line contract."""
+
+    @pytest.mark.parametrize("text, message, line", PARSE_DFA_ERRORS)
+    def test_parse_dfa(self, text, message, line):
+        _assert_parse_error(parse_dfa, text, message, line)
+
+    @pytest.mark.parametrize("text, message, line", PARSE_DFAS_ERRORS)
+    def test_parse_dfas(self, text, message, line):
+        _assert_parse_error(parse_dfas, text, message, line)
+
+    @pytest.mark.parametrize(
+        "render",
+        [lambda dfa, pi: format_partition(pi, dfa), export_dot],
+        ids=["format_partition", "export_dot"],
+    )
+    def test_partition_size_must_match_the_automaton(self, render):
+        with pytest.raises(InputError) as exc:
+            render(gen_ln(2), Partition.singletons(3))
+        assert type(exc.value) is InputError
+        assert str(exc.value) == "partition does not cover the automaton's state set"
+
+
+_KEYWORDS = ["dfa", "alphabet", "states", "initial", "accepting", "trans", "end"]
+_SOUP = _KEYWORDS + ["q0", "q1", "p", "a", "b", "#", ""]
+
+
+@st.composite
+def documents(draw):
+    """Keyword and token soup, or print_dfa output with a few lines deleted,
+    repeated, cut short or given a soup token."""
+    soup_line = st.lists(st.sampled_from(_SOUP), max_size=5).map(" ".join)
+    if draw(st.booleans()):
+        return "\n".join(draw(st.lists(soup_line, max_size=14)))
+    automata = draw(st.lists(dfas(), min_size=1, max_size=2))
+    lines = "".join(map(print_dfa, automata)).splitlines()  # 7 lines at least
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        edit = draw(st.sampled_from(["delete", "repeat", "truncate", "replace", "insert"]))
+        if edit == "delete":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "truncate":
+            lines[i] = " ".join(tokens[: draw(st.integers(0, len(tokens)))])
+        elif edit == "replace":
+            j = draw(st.integers(0, len(tokens)))
+            tokens[j : j + 1] = [draw(st.sampled_from(_SOUP))]
+            lines[i] = " ".join(tokens)
+        else:
+            lines.insert(i, draw(soup_line))
+    return "\n".join(lines)
+
+
+# State names of the drawn automata, names they lack, and stray literal syntax.
+_NAMES = ["q0", "q1", "q2", "q4", "q9", "a", "{", "}", "|", " ", ""]
+
+
+def _raises_only_input_errors(call, *args):
+    try:
+        call(*args)
+    except InputError:  # ParseError included; anything else fails the test
+        pass
+
+
+class TestReaderFuzz:
+    @given(documents())
+    def test_parse_dfa(self, text):
+        _raises_only_input_errors(parse_dfa, text)
+
+    @given(documents())
+    def test_parse_dfas(self, text):
+        _raises_only_input_errors(parse_dfas, text)
+
+    @given(dfas(), st.booleans(), st.lists(st.lists(st.sampled_from(_NAMES), max_size=4)))
+    def test_parse_partition(self, dfa, braced, blocks):
+        body = "|".join(",".join(block) for block in blocks)
+        _raises_only_input_errors(parse_partition, "{" + body + "}" if braced else body, dfa)
 
 
 class TestPartitionLiterals:
