@@ -100,7 +100,7 @@ class DecompositionReport:
 
 
 def _require_reachable(a: Dfa, kind: DecompositionKind) -> None:
-    if len(reachable_indexes(a)) != a.n:
+    if kind is not DecompositionKind.AI and len(reachable_indexes(a)) != a.n:
         raise InputError(
             f"{kind.value} verification requires an automaton without unreachable states"
         )
@@ -117,8 +117,7 @@ def verify(
     without unreachable states; language-level ``ai`` has no such restriction.
     """
     kind = _as_kind(kind)
-    if kind is not DecompositionKind.AI:
-        _require_reachable(a, kind)
+    _require_reachable(a, kind)
     order, parents = _triple_bfs(a, a1, a2)
 
     if kind in (DecompositionKind.AI, DecompositionKind.ASB):
@@ -245,6 +244,7 @@ def _emission_condition(
 
 
 def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
+    _require_reachable(a, kind)
     lattice = sp_lattice(a)
     condition = _emission_condition(kind, a)
     # Every condition is symmetric, so scanning the elements coarsest first

@@ -5,7 +5,8 @@ cross-check the constructive lattice.  The candidate pair search certifies
 that no small decomposition exists: it enumerates the first automaton of a
 pair whole, fills in the second one's transition table an entry at a time,
 and cuts a branch as soon as the joint run through the entries set so far
-shows a conflict.
+shows a conflict.  ``wai`` runs as ``si`` on the minimal automaton, and
+``ai`` computes the first automaton's accepting set instead of enumerating it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .automata import Dfa, reachable_indexes
+from .automata import Dfa, _triple_bfs, minimize, reachable_indexes
 from .decompositions import Decomposition, DecompositionKind, _as_kind, verify
 from .errors import BudgetError, InputError
 from .partitions import Partition, is_sp
@@ -75,9 +76,9 @@ class SearchBudget:
 class ExhaustionCertificate:
     """Proof of work: every candidate pair within the budget was refused.
 
-    ``candidates_examined`` is the size of the space covered, the number of
-    candidate pairs within the effective caps; ``nodes_visited`` counts the
-    partial second-automaton tables the search set an entry of.
+    ``candidates_examined`` is the size of the space covered, the candidate
+    pairs within the effective caps; ``nodes_visited`` is the search's own
+    work, the partial second-automaton tables it set an entry of.
     """
 
     kind: DecompositionKind
@@ -199,42 +200,32 @@ def _candidate(alphabet: tuple[str, ...], table, initial: int, accepting) -> Dfa
 
 
 def candidate_automata(
-    k: int,
-    alphabet: tuple[str, ...],
-    canonical_only: bool = True,
-    accepting_subsets: bool = False,
+    k: int, alphabet: tuple[str, ...], canonical_only: bool = True
 ) -> Iterator[Dfa]:
-    """All k-state candidates over ``alphabet``, in deterministic table order.
-
-    Accepting sets are empty unless ``accepting_subsets`` asks for all of
-    them (needed only for language-level checks).
-    """
-    acc_masks = range(1 << k) if accepting_subsets else (0,)
+    """All k-state candidates over ``alphabet`` with empty accepting sets,
+    in deterministic order: table, then initial state."""
     for flat in _table_walk(k, len(alphabet), canonical_only):
         table = _rows(flat, k, len(alphabet))
         for initial in (0,) if canonical_only else range(k):
-            for mask in acc_masks:
-                accepting = (i for i in range(k) if mask >> i & 1)
-                yield _candidate(alphabet, table, initial, accepting)
+            yield _candidate(alphabet, table, initial, ())
 
 
 class _PairSearch:
     """Triples (A, a1, a2) reachable through the a2 entries set so far.
 
     ``a1`` is whole; ``a2`` has l states, and each of its candidate initial
-    states roots its own run.  A root dies at the kind's first conflict:
-
-    * ``si``: one pair (j, k) reaches two states of A;
-    * ``wai``: one pair reaches states that disagree on acceptance;
-    * ``ai``: a rejecting j of a1 meets an accepting state of A, or one k,
-      paired with accepting j's, meets both accepting and rejecting states.
-
-    Setting an entry only adds triples, so a dead root stays dead below that
-    entry; ``retract`` undoes the last entry through a trail.
+    states roots its own run.  A root dies at its first conflict: under
+    ``si`` one pair (j, k) reaches two states of A; under ``ai`` one k,
+    paired with accepting j's, meets accepting and rejecting states of A.
+    ``wai`` is ``si`` on the minimal automaton, and under ``ai`` a1 accepts
+    the forced set, which holds every j paired with an accepting state of A,
+    so no root dies before the first entry.  Setting an entry only adds
+    triples, so a dead root stays dead below that entry; ``retract`` undoes
+    the last entry through a trail.
     """
 
-    def __init__(self, kind: DecompositionKind, a: Dfa, a1: Dfa, l: int, roots: range):
-        self.kind = kind
+    def __init__(self, ai: bool, a: Dfa, a1: Dfa, l: int, roots: range):
+        self.ai = ai
         self.rows = a.table
         self.rows1 = a1.table
         self.final = [i in a.accepting for i in range(a.n)]
@@ -251,9 +242,6 @@ class _PairSearch:
         self.nodes = 0
         self._close([(r, a.initial, a1.initial, r) for r in roots], -1)
 
-    def alive(self) -> bool:
-        return len(self.dead) < len(self.roots)
-
     def assign(self, p: int, v: int) -> bool:
         self.nodes += 1
         self.flat[p] = v
@@ -264,7 +252,7 @@ class _PairSearch:
             [(r, rows[i][u], rows1[j][u], v) for r, i, j in self.reached[k] if r not in dead],
             p,
         )
-        return self.alive()
+        return len(dead) < len(self.roots)
 
     def retract(self) -> None:
         depth = len(self.marks)
@@ -283,22 +271,17 @@ class _PairSearch:
         """Add the triples in ``work`` and all they reach through entries <= p."""
         rows, rows1, flat, s = self.rows, self.rows1, self.flat, self.s
         final, final1, label, seen, dead = self.final, self.final1, self.label, self.seen, self.dead
-        reached, trail, kind = self.reached, self.trail, self.kind
+        reached, trail, ai = self.reached, self.trail, self.ai
         depth = len(self.marks)
         while work:
             triple = work.pop()
             r, i, j, k = triple
             if r in dead or triple in seen:
                 continue
-            if kind is DecompositionKind.SI:
+            if not ai:
                 key, value = (r, j, k), i
-            elif kind is DecompositionKind.WAI:
-                key, value = (r, j, k), final[i]
             elif final1[j]:
                 key, value = (r, k), final[i]
-            elif final[i]:
-                dead[r] = depth
-                continue
             else:
                 key = None
             if key is not None:
@@ -318,12 +301,19 @@ class _PairSearch:
                 work.append((r, rows[i][u], rows1[j][u], flat[base + u]))
 
     def solution(self) -> tuple[int, frozenset[int]]:
-        """The lowest live initial state and, for ai, the accepting set its
-        run forces: the k's that meet an accepting j and accepting i."""
+        """The lowest live initial state and, for ai, the least accepting set
+        its run allows: the k's that meet an accepting j and accepting i."""
         r = min(set(self.roots) - self.dead.keys())
-        if self.kind is not DecompositionKind.AI:
+        if not self.ai:
             return r, frozenset()
         return r, frozenset(k for (root, k), value in self.label.items() if root == r and value)
+
+
+def _forced_accepting(a: Dfa, a1: Dfa) -> Dfa:
+    """``a1`` accepting F1*, the states that words of L(a) reach."""
+    order, _ = _triple_bfs(a, a1, a1)
+    accepting = {j for i, j, _ in order if i in a.accepting}
+    return _candidate(a.alphabet, a1.table, a1.initial, accepting)
 
 
 def certify_undecomposable(
@@ -334,8 +324,8 @@ def certify_undecomposable(
     Budget caps are clamped below the automaton's state count, since only
     pairs of strictly smaller automata are of interest.  Returns the first
     verifying pair in the enumeration order (sizes lexicographically, then
-    ``candidate_automata`` order: table, initial state, accepting set), or a
-    certificate that the whole space was examined.
+    table, initial state and accepting set in mask order), or a certificate
+    that the whole space was examined.
 
     The first automaton is enumerated whole.  The second one's table is set
     an entry at a time, in the same order, while ``_PairSearch`` follows the
@@ -345,10 +335,15 @@ def certify_undecomposable(
     completion of it, so a conflict of the prefix is a conflict of all of
     them, and the leaves are reached in table order.  At a complete table
     the triples are the pair's reachable ones, so a root without conflict
-    verifies, and the lowest such initial state comes first.  For ``ai``, F2
-    must hold every k that meets an accepting j and an accepting state of A,
-    and no k that meets an accepting j and a rejecting one; the other k's
-    are free, so the least F2 in mask order is the forced set.
+    verifies, and the lowest such initial state comes first.
+
+    Two exact reductions keep that answer.  ``wai`` is ``si`` on the minimal
+    automaton M: words that reach one pair but two states of M are told
+    apart by a suffix (Myhill-Nerode), which is a wai conflict, and L(M) =
+    L(A).  Under ``ai`` every valid F1 contains F1*, the a1 states that words
+    of L(A) reach, and F1* is valid whenever some F1 is, since L(A) lies in
+    L(a1 with F1*) & L(a2), which lies in L(a1 with F1) & L(a2).  So F1* is
+    the least valid F1 in mask order.
     """
     kind = _as_kind(kind)
     if kind not in (DecompositionKind.AI, DecompositionKind.SI, DecompositionKind.WAI):
@@ -368,20 +363,24 @@ def certify_undecomposable(
             f"bound {FEASIBILITY_BOUND}",
             estimate=estimate,
         )
+    ai = kind is DecompositionKind.AI
+    target = minimize(dfa)[0] if kind is DecompositionKind.WAI else dfa
     nodes = 0
     for k in range(1, eff1 + 1):
-        firsts = list(candidate_automata(k, dfa.alphabet, canonical, kind is DecompositionKind.AI))
+        firsts = [
+            _forced_accepting(dfa, a1) if ai else a1
+            for a1 in candidate_automata(k, dfa.alphabet, canonical)
+        ]
         for l in range(1, eff2 + 1):
             for a1 in firsts:
-                search = _PairSearch(kind, dfa, a1, l, range(1 if canonical else l))
-                if search.alive():
-                    for flat in _table_walk(l, s, canonical, search):
-                        initial, accepting = search.solution()
-                        a2 = _candidate(dfa.alphabet, _rows(flat, l, s), initial, accepting)
-                        result = verify(kind, dfa, a1, a2)
-                        if not result:
-                            raise RuntimeError(f"search found a pair that verify refuses: {result}")
-                        return result
+                search = _PairSearch(ai, target, a1, l, range(1 if canonical else l))
+                for flat in _table_walk(l, s, canonical, search):
+                    initial, accepting = search.solution()
+                    a2 = _candidate(dfa.alphabet, _rows(flat, l, s), initial, accepting)
+                    result = verify(kind, dfa, a1, a2)
+                    if not result:
+                        raise RuntimeError(f"search found a pair that verify refuses: {result}")
+                    return result
                 nodes += search.nodes
 
     return ExhaustionCertificate(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+from hypothesis import strategies as st
+
 from dfadecomp import (
     BudgetError,
     Decomposition,
@@ -34,6 +36,18 @@ from dfadecomp.oracle import FEASIBILITY_BOUND
 
 Block = frozenset[int]
 FsPartition = frozenset[Block]
+
+
+@st.composite
+def dfas(draw):
+    """Automata of 1-5 states over {a, b}, unreachable states allowed."""
+    n = draw(st.integers(1, 5))
+    table = tuple(
+        tuple(draw(st.integers(0, n - 1)) for _ in range(2)) for _ in range(n)
+    )
+    acc = frozenset(i for i in range(n) if draw(st.booleans()))
+    initial = draw(st.integers(0, n - 1))
+    return Dfa("h", tuple(f"q{i}" for i in range(n)), ("a", "b"), table, initial, acc)
 
 
 def words_up_to(alphabet, max_len):

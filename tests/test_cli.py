@@ -248,6 +248,63 @@ ai a1=5 a2=5 nontrivial=yes perfect=no redundant=yes pi1={q0_0|q0_1|q0_2|q1_0|q1
 """
 
 
+EXAMPLE31_MIN_AI = """\
+ai: counterexample found (a1=3 states, a2=3 states)
+dfa cand3
+alphabet a b
+states s0 s1 s2
+initial s0
+accepting s0 s2
+trans s0 a s0
+trans s0 b s1
+trans s1 a s1
+trans s1 b s2
+trans s2 a s1
+trans s2 b s1
+end
+dfa cand3
+alphabet a b
+states s0 s1 s2
+initial s0
+accepting s0
+trans s0 a s1
+trans s0 b s2
+trans s1 a s0
+trans s1 b s1
+trans s2 a s0
+trans s2 b s0
+end
+"""
+
+EXAMPLE31_PRIME_WAI = """\
+wai: counterexample found (a1=3 states, a2=3 states)
+dfa cand3
+alphabet a b
+states s0 s1 s2
+initial s0
+accepting
+trans s0 a s0
+trans s0 b s1
+trans s1 a s1
+trans s1 b s2
+trans s2 a s1
+trans s2 b s1
+end
+dfa cand3
+alphabet a b
+states s0 s1 s2
+initial s0
+accepting
+trans s0 a s1
+trans s0 b s2
+trans s1 a s0
+trans s1 b s1
+trans s2 a s0
+trans s2 b s0
+end
+"""
+
+
 class TestGoldenOutput:
     """Exact stdout of a few runs: names, block order, entry order and
     orientation, and the word a refusal reports."""
@@ -311,6 +368,28 @@ class TestGoldenOutput:
         }
         assert code == 0
         assert out == json.dumps([expected], indent=2) + "\n"
+
+    def test_oracle_ai_find_on_example31_min(self, capsys, monkeypatch):
+        a_min, _ = gen_example31()
+        code, out, _ = run_cli(
+            capsys,
+            ["oracle", "--kind", "ai", "--max1", "3", "--max2", "3"],
+            stdin=print_dfa(a_min),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out == EXAMPLE31_MIN_AI
+
+    def test_oracle_wai_find_on_the_non_minimal_example31_prime(self, capsys, monkeypatch):
+        _, a_prime = gen_example31()
+        code, out, _ = run_cli(
+            capsys,
+            ["oracle", "--kind", "wai", "--max1", "3", "--max2", "3"],
+            stdin=print_dfa(a_prime),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out == EXAMPLE31_PRIME_WAI
 
     def test_verify_refusal_names_the_first_word_in_bfs_order(self, capsys, tmp_path):
         # The shortest words grid(2,3) accepts, abb, bab and bba, all lie outside

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from dfadecomp import (
     Decomposition,
@@ -35,6 +36,7 @@ from dfadecomp import (
     verify,
 )
 from dfadecomp import Dfa
+from dfadecomp.automata import reachable_indexes
 
 import helpers
 
@@ -252,6 +254,23 @@ class TestDecomposeAiWai:
                         a.name,
                         kind,
                     )
+
+    @settings(deadline=None)
+    @given(helpers.dfas())
+    def test_entries_verify_or_the_untrimmed_input_is_refused(self, a):
+        trimmed = len(reachable_indexes(a)) == a.n
+        for decompose, kind in (
+            (decompose_sb, "sb"),
+            (decompose_asb, "asb"),
+            (decompose_ai_sufficient, "ai"),
+            (decompose_wai_sufficient, "wai"),
+        ):
+            if kind != "ai" and not trimmed:
+                with pytest.raises(InputError, match="without unreachable states"):
+                    decompose(a)
+                continue
+            for e in decompose(a).entries:
+                assert verify(kind, a, e.decomposition.a1, e.decomposition.a2), kind
 
     def test_asb_entries_pass_both_sb_and_ai(self):
         for a in (gen_lkl(2, 2), gen_example31()[1], gen_grid(2, 3)):

@@ -21,6 +21,7 @@ from dfadecomp import (
     sp_lattice,
     trim,
 )
+from dfadecomp.automata import reachable_indexes
 
 import helpers
 
@@ -51,8 +52,13 @@ def _random_trimmed(seed: int) -> Dfa:
         return trim(parallel_connection(a1, a2))
     n = rng.randint(2, 7)
     table = [[i if rng.random() < 0.7 else rng.randrange(n) for _ in alphabet] for i in range(n)]
-    for i in range(1, n):  # a spanning tree from state 0 keeps every state reachable
-        table[rng.randrange(i)][rng.randrange(len(alphabet))] = i
+    # A spanning tree from state 0 keeps every state reachable, so each tree
+    # edge takes a cell that no earlier one wrote.
+    free = []
+    for i in range(1, n):
+        free += [(i - 1, u) for u in range(len(alphabet))]
+        p, u = free.pop(rng.randrange(len(free)))
+        table[p][u] = i
     return Dfa(
         name=f"loops{n}",
         states=tuple(f"q{i}" for i in range(n)),
@@ -66,6 +72,7 @@ def _random_trimmed(seed: int) -> Dfa:
 @pytest.mark.parametrize("seed", range(90))
 def test_index_lattice_matches_oracles(seed):
     a = _random_trimmed(seed)
+    assert len(reachable_indexes(a)) == a.n
     lattice = sp_lattice(a)
     elements = lattice.elements
     assert set(elements) == brute_sp_partitions(a)

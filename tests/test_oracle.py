@@ -83,9 +83,9 @@ class TestCandidates:
     def test_table_walk_matches_filtered_product(self, canonical_only):
         for alphabet in (("a",), ("a", "b")):
             for k in (1, 2, 3):
-                walked = list(candidate_automata(k, alphabet, canonical_only, True))
+                walked = list(candidate_automata(k, alphabet, canonical_only))
                 assert walked == list(
-                    helpers.candidates_by_product(k, alphabet, canonical_only, True)
+                    helpers.candidates_by_product(k, alphabet, canonical_only, False)
                 )
 
     def test_canonical_enumeration_is_complete_up_to_isomorphism(self):
@@ -221,5 +221,14 @@ def test_search_matches_the_enumerator(canonical_only):
             kind,
             budget,
         )
-        outcomes.add((kind, type(found)))
-    assert len(outcomes) == 6  # every kind both found a pair and certified
+        outcomes.add((kind, type(found), helpers.is_minimal(a)))
+    # Every kind both found a pair and certified, in either mode: the ai cases
+    # cover the forced first accepting set, with and without all candidates.
+    assert {(kind, found) for kind, found, _ in outcomes} == {
+        (kind, found)
+        for kind in ("ai", "si", "wai")
+        for found in (Decomposition, ExhaustionCertificate)
+    }
+    # wai runs as si on the minimal automaton; non-minimal inputs exercise that.
+    assert ("wai", Decomposition, False) in outcomes
+    assert ("wai", ExhaustionCertificate, False) in outcomes

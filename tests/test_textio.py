@@ -22,17 +22,6 @@ from dfadecomp import (
 import helpers
 
 
-@st.composite
-def dfas(draw):
-    n = draw(st.integers(1, 5))
-    table = tuple(
-        tuple(draw(st.integers(0, n - 1)) for _ in range(2)) for _ in range(n)
-    )
-    acc = frozenset(i for i in range(n) if draw(st.booleans()))
-    initial = draw(st.integers(0, n - 1))
-    return Dfa("h", tuple(f"q{i}" for i in range(n)), ("a", "b"), table, initial, acc)
-
-
 class TestRoundTrip:
     def test_fixture_round_trips_are_byte_exact(self):
         fixtures = [
@@ -48,7 +37,7 @@ class TestRoundTrip:
             assert again == dfa
             assert print_dfa(again) == text
 
-    @given(dfas())
+    @given(helpers.dfas())
     def test_random_round_trips(self, dfa):
         assert parse_dfa(print_dfa(dfa)) == dfa
 
@@ -208,7 +197,7 @@ def documents(draw):
     soup_line = st.lists(st.sampled_from(_SOUP), max_size=5).map(" ".join)
     if draw(st.booleans()):
         return "\n".join(draw(st.lists(soup_line, max_size=14)))
-    automata = draw(st.lists(dfas(), min_size=1, max_size=2))
+    automata = draw(st.lists(helpers.dfas(), min_size=1, max_size=2))
     lines = "".join(map(print_dfa, automata)).splitlines()  # 7 lines at least
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
@@ -249,7 +238,7 @@ class TestReaderFuzz:
     def test_parse_dfas(self, text):
         _raises_only_input_errors(parse_dfas, text)
 
-    @given(dfas(), st.booleans(), st.lists(st.lists(st.sampled_from(_NAMES), max_size=4)))
+    @given(helpers.dfas(), st.booleans(), st.lists(st.lists(st.sampled_from(_NAMES), max_size=4)))
     def test_parse_partition(self, dfa, braced, blocks):
         body = "|".join(",".join(block) for block in blocks)
         _raises_only_input_errors(parse_partition, "{" + body + "}" if braced else body, dfa)
