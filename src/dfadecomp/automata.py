@@ -206,27 +206,20 @@ def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
     original state order.
     """
     # partitions imports Dfa from this module, so import from it at call time.
-    from .partitions import Partition, quotient
+    from .partitions import Partition, _canonical, quotient
 
     base = trim(dfa)
-    n = base.n
-    syms = range(len(base.alphabet))
-    block = [1 if i in base.accepting else 0 for i in range(n)]
+    block = _canonical(i in base.accepting for i in range(base.n))
     while True:
-        signatures = {}
-        new_block = [0] * n
-        for i in range(n):
-            sig = (block[i], tuple(block[base.table[i][a]] for a in syms))
-            if sig not in signatures:
-                signatures[sig] = len(signatures)
-            new_block[i] = signatures[sig]
-        if new_block == block:
+        # Each key starts with the state's own block, so a round only splits
+        # blocks, and an unchanged vector is the fixpoint.
+        refined = _canonical((b, *map(block.__getitem__, row)) for b, row in zip(block, base.table))
+        if refined == block:
             break
-        block = new_block
-    pi = Partition.from_assignment(block)
-    accepting = {pi.block_index[i] for i in base.accepting}
-    result = quotient(base, pi, accepting, name=dfa.name + "_min")
-    mapping: StateMap = {base.states[i]: result.states[pi.block_index[i]] for i in range(n)}
+        block = refined
+    accepting = {block[i] for i in base.accepting}
+    result = quotient(base, Partition._from_canonical(block), accepting, name=dfa.name + "_min")
+    mapping: StateMap = {q: result.states[b] for q, b in zip(base.states, block)}
     return result, mapping
 
 

@@ -102,7 +102,7 @@ class DecompositionReport:
 def _require_reachable(a: Dfa, kind: DecompositionKind) -> None:
     if kind is not DecompositionKind.AI and len(reachable_indexes(a)) != a.n:
         raise InputError(
-            f"{kind.value} verification requires an automaton without unreachable states"
+            f"{kind.value} decompositions are defined only for automata without unreachable states"
         )
 
 
@@ -115,6 +115,9 @@ def verify(
     :class:`Refusal` naming a counterexample word or state pair.  The kinds
     ``si``, ``wai``, ``sb`` and ``asb`` are only defined here for automata
     without unreachable states; language-level ``ai`` has no such restriction.
+    For those kinds each reachable pair keeps the first state it reaches, and
+    the refused pair is the earliest reached one that meets a second state
+    (for ``wai``, one that differs on acceptance).
     """
     kind = _as_kind(kind)
     _require_reachable(a, kind)
@@ -131,45 +134,45 @@ def verify(
         if kind is DecompositionKind.AI:
             return Decomposition(kind, a1, a2, None)
 
-    pair_states: dict[tuple[int, int], set[int]] = {}
+    # Each reachable pair keeps the first state it reaches; a pair that later
+    # meets another state (under wai, one of the other acceptance) clashes.
+    wai = kind is DecompositionKind.WAI
+    first: dict[tuple[int, int], int] = {}
+    clashing = set()
     for i, j, k in order:
-        pair_states.setdefault((j, k), set()).add(i)
+        f = first.setdefault((j, k), i)
+        if f != i and (not wai or (f in a.accepting) != (i in a.accepting)):
+            clashing.add((j, k))
 
-    if kind is DecompositionKind.WAI:
-        relation = set()
-        for (j, k), states in pair_states.items():
-            flags = {i in a.accepting for i in states}
-            if len(flags) == 2:
-                return Refusal(
-                    "reachable pair maps to states disagreeing on acceptance",
-                    ((a1.states[j], a2.states[k]), tuple(sorted(a.states[i] for i in states))),
-                )
-            if flags == {True}:
-                relation.add((a1.states[j], a2.states[k]))
-        return Decomposition(kind, a1, a2, frozenset(relation))
+    def named(pair: tuple[int, int]) -> tuple[str, str]:
+        return a1.states[pair[0]], a2.states[pair[1]]
 
-    # si, sb and asb all need each reachable pair to pin down one state.
-    beta: dict[tuple[str, str], str] = {}
-    for (j, k), states in pair_states.items():
-        if len(states) > 1:
-            return Refusal(
-                "reachable pair corresponds to more than one state",
-                ((a1.states[j], a2.states[k]), tuple(sorted(a.states[i] for i in states))),
-            )
-        beta[(a1.states[j], a2.states[k])] = a.states[next(iter(states))]
+    if clashing:
+        pair = next(p for p in first if p in clashing)
+        states = {a.states[i] for i, j, k in order if (j, k) == pair}
+        reason = (
+            "reachable pair maps to states disagreeing on acceptance"
+            if wai
+            else "reachable pair corresponds to more than one state"
+        )
+        return Refusal(reason, (named(pair), tuple(sorted(states))))
+    if wai:
+        relation = frozenset(named(p) for p, i in first.items() if i in a.accepting)
+        return Decomposition(kind, a1, a2, relation)
     if kind is DecompositionKind.SI:
-        return Decomposition(kind, a1, a2, beta)
+        return Decomposition(kind, a1, a2, {named(p): a.states[i] for p, i in first.items()})
 
-    alpha: dict[str, tuple[str, str]] = {}
-    for pair, state in beta.items():
-        if state in alpha:
+    # sb and asb also need distinct pairs to reach distinct states.
+    pair_of: dict[int, tuple[int, int]] = {}
+    for pair, i in first.items():
+        earlier = pair_of.setdefault(i, pair)
+        if earlier != pair:
             return Refusal(
                 "state is reached through two distinct pairs; the embedding "
                 "cannot be injective",
-                (state, alpha[state], pair),
+                (a.states[i], named(earlier), named(pair)),
             )
-        alpha[state] = pair
-    return Decomposition(kind, a1, a2, alpha)
+    return Decomposition(kind, a1, a2, {a.states[i]: named(p) for i, p in pair_of.items()})
 
 
 def _entry_from_partitions(

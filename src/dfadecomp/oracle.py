@@ -15,8 +15,8 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .automata import Dfa, _triple_bfs, minimize, reachable_indexes
-from .decompositions import Decomposition, DecompositionKind, _as_kind, verify
+from .automata import Dfa, _triple_bfs, minimize
+from .decompositions import Decomposition, DecompositionKind, _as_kind, _require_reachable, verify
 from .errors import BudgetError, InputError
 from .partitions import Partition, is_sp
 
@@ -348,10 +348,7 @@ def certify_undecomposable(
     kind = _as_kind(kind)
     if kind not in (DecompositionKind.AI, DecompositionKind.SI, DecompositionKind.WAI):
         raise InputError("undecomposability search supports the ai, si and wai kinds")
-    if kind is not DecompositionKind.AI and len(reachable_indexes(dfa)) != dfa.n:
-        raise InputError(
-            f"{kind.value} certification requires an automaton without unreachable states"
-        )
+    _require_reachable(dfa, kind)
     eff1 = min(budget.max_states_1, dfa.n - 1)
     eff2 = min(budget.max_states_2, dfa.n - 1)
     s = len(dfa.alphabet)

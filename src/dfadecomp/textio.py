@@ -47,7 +47,8 @@ def _parse_document(lines: list[tuple[int, list[str]]], start: int) -> tuple[Dfa
     if len(tokens) < 2:
         raise ParseError("'alphabet' line needs at least one symbol", lineno)
     alphabet = tokens[1:]
-    if len(set(alphabet)) != len(alphabet):
+    symbol_set = set(alphabet)
+    if len(symbol_set) != len(alphabet):
         raise ParseError("duplicate symbol in alphabet", lineno)
     pos += 1
 
@@ -55,9 +56,9 @@ def _parse_document(lines: list[tuple[int, list[str]]], start: int) -> tuple[Dfa
     if len(tokens) < 2:
         raise ParseError("'states' line needs at least one state", lineno)
     states = tokens[1:]
-    if len(set(states)) != len(states):
-        raise ParseError("duplicate state name", lineno)
     state_set = set(states)
+    if len(state_set) != len(states):
+        raise ParseError("duplicate state name", lineno)
     pos += 1
 
     lineno, tokens = need(pos, "initial")
@@ -92,7 +93,7 @@ def _parse_document(lines: list[tuple[int, list[str]]], start: int) -> tuple[Dfa
         _, src, sym, dst = tokens
         if src not in state_set:
             raise ParseError(f"transition from unknown state {src!r}", lineno)
-        if sym not in set(alphabet):
+        if sym not in symbol_set:
             raise ParseError(f"transition on unknown symbol {sym!r}", lineno)
         if dst not in state_set:
             raise ParseError(f"transition to unknown state {dst!r}", lineno)

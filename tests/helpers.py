@@ -31,8 +31,10 @@ from dfadecomp import (
     separates_finals,
     verify,
 )
-from dfadecomp.automata import reachable_indexes
+from dfadecomp.automata import _triple_bfs, _word_to, reachable_indexes, trim
+from dfadecomp.decompositions import Refusal, _as_kind, _require_reachable
 from dfadecomp.oracle import FEASIBILITY_BOUND
+from dfadecomp.partitions import quotient
 
 Block = frozenset[int]
 FsPartition = frozenset[Block]
@@ -330,3 +332,86 @@ def certify_by_enumeration(kind, dfa: Dfa, budget: SearchBudget):
         estimate=estimate,
         nodes_visited=examined,
     )
+
+
+def verify_by_pair_sets(kind, a: Dfa, a1: Dfa, a2: Dfa):
+    """``verify`` by collecting, for every reachable pair, the set of states
+    it reaches, then scanning those sets for a clash and for injectivity."""
+    kind = _as_kind(kind)
+    _require_reachable(a, kind)
+    order, parents = _triple_bfs(a, a1, a2)
+
+    if kind in (DecompositionKind.AI, DecompositionKind.ASB):
+        for triple in order:
+            i, j, k = triple
+            if (i in a.accepting) != (j in a1.accepting and k in a2.accepting):
+                word = _word_to(parents, triple, a.alphabet)
+                return Refusal(
+                    f"languages differ on word {''.join(word) or '(empty)'!r}", word
+                )
+        if kind is DecompositionKind.AI:
+            return Decomposition(kind, a1, a2, None)
+
+    pair_states: dict[tuple[int, int], set[int]] = {}
+    for i, j, k in order:
+        pair_states.setdefault((j, k), set()).add(i)
+
+    if kind is DecompositionKind.WAI:
+        relation = set()
+        for (j, k), states in pair_states.items():
+            flags = {i in a.accepting for i in states}
+            if len(flags) == 2:
+                return Refusal(
+                    "reachable pair maps to states disagreeing on acceptance",
+                    ((a1.states[j], a2.states[k]), tuple(sorted(a.states[i] for i in states))),
+                )
+            if flags == {True}:
+                relation.add((a1.states[j], a2.states[k]))
+        return Decomposition(kind, a1, a2, frozenset(relation))
+
+    beta: dict[tuple[str, str], str] = {}
+    for (j, k), states in pair_states.items():
+        if len(states) > 1:
+            return Refusal(
+                "reachable pair corresponds to more than one state",
+                ((a1.states[j], a2.states[k]), tuple(sorted(a.states[i] for i in states))),
+            )
+        beta[(a1.states[j], a2.states[k])] = a.states[next(iter(states))]
+    if kind is DecompositionKind.SI:
+        return Decomposition(kind, a1, a2, beta)
+
+    alpha: dict[str, tuple[str, str]] = {}
+    for pair, state in beta.items():
+        if state in alpha:
+            return Refusal(
+                "state is reached through two distinct pairs; the embedding "
+                "cannot be injective",
+                (state, alpha[state], pair),
+            )
+        alpha[state] = pair
+    return Decomposition(kind, a1, a2, alpha)
+
+
+def minimize_by_signatures(dfa: Dfa):
+    """``minimize`` with Moore rounds that number each (block, successor
+    blocks) signature through a table of their own."""
+    base = trim(dfa)
+    n = base.n
+    syms = range(len(base.alphabet))
+    block = [1 if i in base.accepting else 0 for i in range(n)]
+    while True:
+        signatures = {}
+        new_block = [0] * n
+        for i in range(n):
+            sig = (block[i], tuple(block[base.table[i][a]] for a in syms))
+            if sig not in signatures:
+                signatures[sig] = len(signatures)
+            new_block[i] = signatures[sig]
+        if new_block == block:
+            break
+        block = new_block
+    pi = Partition.from_assignment(block)
+    accepting = {pi.block_index[i] for i in base.accepting}
+    result = quotient(base, pi, accepting, name=dfa.name + "_min")
+    mapping = {base.states[i]: result.states[pi.block_index[i]] for i in range(n)}
+    return result, mapping

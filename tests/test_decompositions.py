@@ -51,6 +51,12 @@ def _pad6():
     return Dfa("pad6", states, ("a", "b"), table, 0, frozenset({0, 1, 2}))
 
 
+def _cycle(name, prefix, n, accepting):
+    """Unary counter modulo n with states prefix0 .. prefix{n-1}."""
+    return Dfa(name, tuple(f"{prefix}{i}" for i in range(n)), ("a",),
+               tuple(((i + 1) % n,) for i in range(n)), 0, frozenset(accepting))
+
+
 def _parity_padded_a4b4():
     a, a1, a2 = gen_a4b4_triple()
     parity = Dfa("bparity", ("e", "o"), ("a", "b"), ((0, 1), (1, 0)), 0, frozenset({0, 1}))
@@ -84,6 +90,36 @@ class TestVerify:
         r = verify("ai", a, gen_ln(3), helpers.one_state(("a",)))
         assert isinstance(r, Refusal)
         assert r.detail == ("a", "a")
+
+    @pytest.mark.parametrize(
+        "kind, a_acc, a1_acc, reason, detail",
+        [
+            # (p0, s) is the first pair reached, and it meets q0 and q2.
+            ("si", {1}, {0}, "reachable pair corresponds to more than one state",
+             (("p0", "s"), ("q0", "q2"))),
+            # (p0, s) meets two rejecting states; (p1, s) is the earliest
+            # pair whose states disagree on acceptance.
+            ("wai", {1}, {0}, "reachable pair maps to states disagreeing on acceptance",
+             (("p1", "s"), ("q1", "q3"))),
+        ],
+    )
+    def test_pair_refusals_pin_reason_and_detail(self, kind, a_acc, a1_acc, reason, detail):
+        r = verify(kind, _cycle("c4", "q", 4, a_acc), _cycle("c2", "p", 2, a1_acc),
+                   helpers.one_state(("a",)))
+        assert isinstance(r, Refusal)
+        assert (r.reason, r.detail) == (reason, detail)
+
+    @pytest.mark.parametrize("kind", ["sb", "asb"])
+    def test_injectivity_refusal_pins_reason_and_detail(self, kind):
+        # Each pair pins one state, but q0 is reached through (p0, s) and,
+        # later, through (p2, s); the languages agree, so asb gets this far.
+        r = verify(kind, _cycle("c2", "q", 2, {0}), _cycle("c4", "p", 4, {0, 2}),
+                   helpers.one_state(("a",)))
+        assert isinstance(r, Refusal)
+        assert r.reason == (
+            "state is reached through two distinct pairs; the embedding cannot be injective"
+        )
+        assert r.detail == ("q0", ("p0", "s"), ("p2", "s"))
 
     def test_sb_alpha_is_an_embedding(self):
         g = gen_grid(2, 3)

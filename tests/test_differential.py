@@ -1,14 +1,17 @@
-"""The index-lattice fast paths against their brute-force oracles on random
-trimmed automata: the lattice itself, its join steps, redundancy and
-distributivity."""
+"""Fast paths against their oracles on seeded random automata: the index
+lattice, its join steps, redundancy and distributivity against brute force,
+and ``verify`` and ``minimize`` against their earlier forms in helpers."""
 
 import random
 
 import pytest
 
 from dfadecomp import (
+    Decomposition,
     Dfa,
     DecompositionKind,
+    InputError,
+    Refusal,
     brute_sp_partitions,
     decompose_ai_sufficient,
     decompose_asb,
@@ -16,10 +19,13 @@ from dfadecomp import (
     decompose_wai_sufficient,
     gen_grid,
     is_distributive,
+    minimize,
     parallel_connection,
+    print_dfa,
     random_dfa,
     sp_lattice,
     trim,
+    verify,
 )
 from dfadecomp.automata import reachable_indexes
 
@@ -100,3 +106,64 @@ def test_ai_on_large_grids_reports_without_a_size_limit(r, s):
     report = decompose_ai_sufficient(gen_grid(r, s))
     assert report.entries
     assert sum(not e.redundant for e in report.entries) >= 1
+
+
+def _random_triple(seed: int) -> tuple[Dfa, Dfa, Dfa]:
+    """Two factors of 1-4 states over 1-2 symbols and an automaton to check
+    them against: their trimmed product, so that every kind can succeed, its
+    minimal automaton, or a random automaton with unreachable states kept."""
+    rng = random.Random(seed)
+    alphabet = ("a", "b")[: rng.randint(1, 2)]
+    a1 = random_dfa(rng, rng.randint(1, 4), alphabet)
+    a2 = random_dfa(rng, rng.randint(1, 4), alphabet)
+    product = trim(parallel_connection(a1, a2))
+    a = (product, minimize(product)[0], random_dfa(rng, rng.randint(1, 6), alphabet))[seed % 3]
+    return a, a1, a2
+
+
+def _verify_outcome(verifier, kind, a, a1, a2):
+    """Everything a verification returns, with the order of a mapping kept."""
+    try:
+        r = verifier(kind, a, a1, a2)
+    except InputError as e:
+        return "error", str(e)
+    if isinstance(r, Refusal):
+        return "refusal", r.reason, r.detail
+    assert isinstance(r, Decomposition) and (r.a1, r.a2) == (a1, a2)
+    w = r.witness
+    return "decomposition", r.kind, list(w.items()) if isinstance(w, dict) else w
+
+
+def test_verify_matches_the_pair_set_form():
+    outcomes = set()
+    for seed in range(600):
+        a, a1, a2 = _random_triple(seed)
+        for kind in DecompositionKind:
+            new = _verify_outcome(verify, kind, a, a1, a2)
+            old = _verify_outcome(helpers.verify_by_pair_sets, kind, a, a1, a2)
+            assert new == old, (seed, kind)
+            outcomes.add((kind, new[0] if new[0] != "refusal" else new[1].split(" on word")[0]))
+    assert {kind for kind, seen in outcomes if seen == "decomposition"} == set(DecompositionKind)
+    assert {seen for _, seen in outcomes} == {
+        "decomposition",
+        "error",
+        "languages differ",
+        "reachable pair corresponds to more than one state",
+        "reachable pair maps to states disagreeing on acceptance",
+        "state is reached through two distinct pairs; the embedding cannot be injective",
+    }
+
+
+def test_minimize_matches_the_signature_form():
+    for seed in range(600):
+        rng = random.Random(seed)
+        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+        a = random_dfa(rng, rng.randint(1, 9), alphabet)
+        # Half the draws rename their states and start elsewhere, so more of
+        # them keep unreachable states.
+        if seed % 2:
+            a = Dfa(a.name, a.states[::-1], a.alphabet, a.table, rng.randrange(a.n), a.accepting)
+        new, new_map = minimize(a)
+        old, old_map = helpers.minimize_by_signatures(a)
+        assert print_dfa(new) == print_dfa(old), seed
+        assert list(new_map.items()) == list(old_map.items()), seed
