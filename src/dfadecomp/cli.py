@@ -9,6 +9,7 @@ refusal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -16,7 +17,6 @@ from pathlib import Path
 from .automata import Dfa, minimize
 from .decompositions import (
     DecompositionKind,
-    ReportEntry,
     decompose_ai_sufficient,
     decompose_asb,
     decompose_sb,
@@ -39,7 +39,7 @@ from .oracle import (
     certify_undecomposable,
     estimate_search_space,
 )
-from .partitions import Partition, sp_lattice
+from .partitions import sp_lattice
 from .textio import export_dot, format_partition, parse_dfa, parse_partition, print_dfa
 
 _WITNESS_KIND = {
@@ -107,23 +107,21 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     return 0
 
 
-def _partition_names(pi: Partition, dfa: Dfa) -> list[list[str]]:
-    return [[dfa.states[i] for i in block] for block in pi.blocks]
-
-
-def _entry_json(entry: ReportEntry, dfa: Dfa) -> dict:
-    d = entry.decomposition
-    pa, pb = d.source_partitions
-    return {
-        "kind": d.kind.value,
-        "a1_states": d.a1.n,
-        "a2_states": d.a2.n,
-        "nontrivial": entry.nontrivial,
-        "perfect": entry.perfect,
-        "redundant": entry.redundant,
-        "partitions": [_partition_names(pa, dfa), _partition_names(pb, dfa)],
-        "witness_kind": _WITNESS_KIND[d.kind],
-    }
+# One report entry as json.dumps(entries, indent=2) lays it out; the two
+# partitions are json.dumps(names, indent=2) fragments indented to their depth.
+_ENTRY_JSON = """{{
+    "kind": "{kind}",
+    "a1_states": {a1},
+    "a2_states": {a2},
+    "nontrivial": {nontrivial},
+    "perfect": {perfect},
+    "redundant": {redundant},
+    "partitions": [
+      {pa},
+      {pb}
+    ],
+    "witness_kind": "{witness}"
+  }}"""
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -141,17 +139,35 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         if (not args.nonredundant or not e.redundant)
         and (not args.perfect_only or e.perfect)
     ]
+    # Each lattice element is rendered once, however many entries it is in.
     if args.format == "json":
+        shown = functools.cache(
+            lambda pi: json.dumps([[dfa.states[i] for i in b] for b in pi.blocks], indent=2)
+            .replace("\n", "\n      ")
+        )
         # One entry at a time, laid out as json.dumps(list, indent=2) would:
         # encoding the whole list at once holds every chunk string alive.
         sys.stdout.write("[")
         sep = "\n  "
         for e in entries:
-            entry = json.dumps(_entry_json(e, dfa), indent=2)
-            sys.stdout.write(sep + entry.replace("\n", "\n  "))
+            d = e.decomposition
+            pa, pb = d.source_partitions
+            entry = _ENTRY_JSON.format(
+                kind=d.kind.value,
+                a1=d.a1.n,
+                a2=d.a2.n,
+                nontrivial=str(e.nontrivial).lower(),
+                perfect=str(e.perfect).lower(),
+                redundant=str(e.redundant).lower(),
+                pa=shown(pa),
+                pb=shown(pb),
+                witness=_WITNESS_KIND[d.kind],
+            )
+            sys.stdout.write(sep + entry)
             sep = ",\n  "
         print("\n]" if entries else "]")
     else:
+        shown = functools.cache(lambda pi: format_partition(pi, dfa))
         print(f"# {len(entries)} {args.kind} decomposition(s) of {dfa.name}")
         for e in entries:
             d = e.decomposition
@@ -163,7 +179,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
             )
             print(
                 f"{d.kind.value} a1={d.a1.n} a2={d.a2.n} {flags} "
-                f"pi1={format_partition(pa, dfa)} pi2={format_partition(pb, dfa)}"
+                f"pi1={shown(pa)} pi2={shown(pb)}"
             )
     return 0 if entries else 1
 

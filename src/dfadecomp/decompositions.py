@@ -16,6 +16,7 @@ product, so each returned witness is checked on every reachable configuration.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -24,11 +25,9 @@ from typing import Callable
 from .automata import Dfa, _triple_bfs, _word_to, minimize, reachable_indexes
 from .errors import InputError
 from .partitions import (
-    Labels,
     Partition,
     SeparationWitness,
     SpLattice,
-    _separation,
     is_distributive,
     join,
     meet,
@@ -176,25 +175,20 @@ def verify(
 
 
 def _entry_from_partitions(
-    a: Dfa,
-    kind: DecompositionKind,
-    pa: Partition,
-    pb: Partition,
-    separation: SeparationWitness | None = None,
+    a: Dfa, kind: DecompositionKind, pa: Partition, pb: Partition, a1: Dfa, a2: Dfa
 ) -> Decomposition:
-    """The quotient pair of (pa, pb) with its kind's witness; the quotients
-    accept the blocks that ``separation`` picks, or none without one."""
-    acc1, acc2 = (separation.blocks_from_1, separation.blocks_from_2) if separation else ((), ())
-    a1 = quotient(a, pa, acc1, name=f"{a.name}_q1")
-    a2 = quotient(a, pb, acc2, name=f"{a.name}_q2")
+    """The pair of quotients ``a1``, ``a2`` of ``a`` by (pa, pb) with its
+    kind's witness; for ``ai`` that is the blocks the quotients accept."""
     if kind is DecompositionKind.AI:
-        witness = separation
+        witness = SeparationWitness(tuple(sorted(a1.accepting)), tuple(sorted(a2.accepting)))
     elif kind is DecompositionKind.WAI:
+        # Every block pair whose cell holds no rejecting state, empty cells included.
+        rejecting = {(pa.block_index[i], pb.block_index[i]) for i in set(range(a.n)) - a.accepting}
         witness = frozenset(
-            (a1.states[i], a2.states[j])
-            for i, b1 in enumerate(pa.blocks)
-            for j, b2 in enumerate(pb.blocks)
-            if set(b1) & set(b2) <= set(a.accepting)
+            (q1, q2)
+            for i, q1 in enumerate(a1.states)
+            for j, q2 in enumerate(a2.states)
+            if (i, j) not in rejecting
         )
     else:
         witness = {
@@ -204,62 +198,66 @@ def _entry_from_partitions(
     return Decomposition(kind, a1, a2, witness, (pa, pb))
 
 
-def _emission_condition(
-    kind: DecompositionKind, a: Dfa
-) -> Callable[[Labels, Labels], object]:
+def _emission_condition(kind: DecompositionKind, a: Dfa) -> Callable[[int, int], bool]:
     """The sufficient condition each decompose_* uses to emit a lattice pair,
-    read off the pair's label vectors (``Partition.block_index``).
+    read off the pair's ``SpLattice.keys`` as one AND against the kind's mask.
 
-    For ``ai`` and ``asb`` a satisfied condition returns its
-    :class:`SeparationWitness`.  Also reused by the redundancy check.  Every
-    condition is down-closed: if it holds for a pair it holds for every finer
-    pair, since meets only shrink and the blocks meeting the accepting states
-    only shrink along with them.
+    ``sb`` asks that no state pair be merged by both elements (meet zero),
+    ``wai`` that no pair of an accepting and a rejecting state be, ``ai``
+    that no rejecting state lie in a block meeting the accepting set in both
+    (the minimal pick separates), and ``asb`` both the ``sb`` and the ``ai``
+    test.  Also reused by the redundancy check.  Every condition is
+    down-closed: if it holds for a pair it holds for every finer pair, since
+    meets only shrink and the blocks meeting the accepting states only shrink
+    along with them.
     """
     n = a.n
-    finals = sorted(a.accepting)
-    others = [i for i in range(n) if i not in a.accepting]
-
-    def meet_zero(x: Labels, y: Labels) -> bool:
-        return len(set(zip(x, y))) == n
-
-    def separation(x: Labels, y: Labels) -> SeparationWitness | None:
-        return _separation(x, y, finals, others)
-
-    if kind is DecompositionKind.SB:
-        return meet_zero
-    if kind is DecompositionKind.ASB:
-        return lambda x, y: separation(x, y) if meet_zero(x, y) else None
-    if kind is DecompositionKind.AI:
-        return separation
-    if kind is DecompositionKind.WAI:
-        accepting = [i in a.accepting for i in range(n)]
-
-        def meet_refines_acceptance(x: Labels, y: Labels) -> bool:
-            cell_accepts: dict[tuple[int, int], bool] = {}
-            return all(
-                cell_accepts.setdefault(cell, acc) == acc
-                for cell, acc in zip(zip(x, y), accepting)
-            )
-
-        return meet_refines_acceptance
-    raise InputError(f"no lattice-based construction for kind {kind.value!r}")
+    accepting = sum(1 << i for i in a.accepting)
+    rejecting = (1 << n) - 1 - accepting
+    pairs = (1 << n * n) - 1
+    # Row i of the mixed pairs holds the states above i of the other acceptance.
+    mixed = sum(
+        ((rejecting if i in a.accepting else accepting) >> i + 1) << (i * n + i + 1)
+        for i in range(n)
+    )
+    masks = {
+        DecompositionKind.SB: pairs,
+        DecompositionKind.ASB: pairs | rejecting << n * n,
+        DecompositionKind.AI: rejecting << n * n,
+        DecompositionKind.WAI: mixed,
+    }
+    if kind not in masks:
+        raise InputError(f"no lattice-based construction for kind {kind.value!r}")
+    mask = masks[kind]
+    return lambda kx, ky: not kx & ky & mask
 
 
 def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
     _require_reachable(a, kind)
     lattice = sp_lattice(a)
     condition = _emission_condition(kind, a)
+    elements, keys = lattice.elements, lattice.keys
+    separating = kind in (DecompositionKind.AI, DecompositionKind.ASB)
+
+    @functools.cache
+    def quotient_of(k: int, role: int) -> Dfa:
+        # Under ai and asb each factor accepts its minimal pick, else nothing.
+        pi = elements[k]
+        picks = {pi.block_index[i] for i in a.accepting} if separating else ()
+        return quotient(a, pi, picks, name=f"{a.name}_q{role}")
+
     # Every condition is symmetric, so scanning the elements coarsest first
     # yields each pair in its reported orientation.
-    factors = sorted(lattice.nontrivial(), key=lambda pi: (pi.num_blocks, pi.blocks))
+    factors = sorted(
+        (k for k, pi in enumerate(elements) if not pi.is_trivial()),
+        key=lambda k: (elements[k].num_blocks, elements[k].blocks),
+    )
     entries = []
-    for pa, pb in itertools.combinations_with_replacement(factors, 2):
-        outcome = condition(pa.block_index, pb.block_index)
-        if not outcome:
+    for i, j in itertools.combinations_with_replacement(factors, 2):
+        if not condition(keys[i], keys[j]):
             continue
-        separation = outcome if isinstance(outcome, SeparationWitness) else None
-        d = _entry_from_partitions(a, kind, pa, pb, separation)
+        a1, a2 = quotient_of(i, 1), quotient_of(j, 2)
+        d = _entry_from_partitions(a, kind, elements[i], elements[j], a1, a2)
         entries.append(
             ReportEntry(
                 decomposition=d,
@@ -327,10 +325,10 @@ def is_redundant(
     p1, p2 = d.source_partitions
     if p1 not in lat or p2 not in lat:
         raise InputError("source partitions are not elements of the automaton's lattice")
-    x, y = p1.block_index, p2.block_index
-    coarser = lat.elements
-    return any(condition(coarser[j].block_index, y) for j in lat.above[lat.index[p1]]) or any(
-        condition(x, coarser[j].block_index) for j in lat.above[lat.index[p2]]
+    i, j = lat.index[p1], lat.index[p2]
+    keys = lat.keys
+    return any(condition(keys[k], keys[j]) for k in lat.above[i]) or any(
+        condition(keys[i], keys[k]) for k in lat.above[j]
     )
 
 
@@ -366,7 +364,9 @@ def project_to_minimal(a: Dfa, d: Decomposition) -> Decomposition | Refusal:
         raise RuntimeError(
             "internal invariant violated: projected partitions do not meet to zero"
         )
-    return _entry_from_partitions(mdfa, DecompositionKind.SB, p1, p2)
+    a1 = quotient(mdfa, p1, (), name=f"{mdfa.name}_q1")
+    a2 = quotient(mdfa, p2, (), name=f"{mdfa.name}_q2")
+    return _entry_from_partitions(mdfa, DecompositionKind.SB, p1, p2, a1, a2)
 
 
 def transfer_to_minimal(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping
 
 from .automata import Dfa
 from .errors import InputError
@@ -54,10 +54,6 @@ def _canonical(labels: Iterable[Hashable]) -> Labels:
     """Renumber labels by first occurrence, so equal partitions get equal vectors."""
     seen: dict[Hashable, int] = {}
     return tuple([seen.setdefault(lab, len(seen)) for lab in labels])
-
-
-def _meet_labels(x: Labels, y: Labels) -> Labels:
-    return _canonical(zip(x, y))
 
 
 def _join_labels(x: Labels, y: Labels) -> Labels:
@@ -156,7 +152,7 @@ def _check_same_ground(p1: Partition, p2: Partition) -> int:
 def meet(p1: Partition, p2: Partition) -> Partition:
     """Coarsest common refinement: blocks are the nonempty block intersections."""
     _check_same_ground(p1, p2)
-    return Partition._from_canonical(_meet_labels(p1.block_index, p2.block_index))
+    return Partition._from_canonical(_canonical(zip(p1.block_index, p2.block_index)))
 
 
 def join(p1: Partition, p2: Partition) -> Partition:
@@ -221,12 +217,17 @@ class SpLattice:
     ``elements[i]`` with an atom that are strictly coarser than it: every
     upper cover of the element is among them, and every strictly coarser
     element lies above one of them.
+    ``keys[i]`` is ``P | S << n*n`` for ``elements[i]`` over n states: P has
+    bit ``p*n + t`` for each pair p < t the element merges, so
+    P(x ∧ y) = P(x) & P(y) and x ≤ y iff P(x) & ~P(y) == 0; S has bit i for
+    each state whose block meets the accepting set.
     """
 
     dfa_fingerprint: str
     elements: tuple[Partition, ...]
     atoms: Mapping[tuple[str, str], Partition]
     above: tuple[tuple[int, ...], ...]
+    keys: tuple[int, ...]
     index: Mapping[Partition, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -246,7 +247,8 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     The atom of the pair (p, t) lies below an S.P. partition x exactly when x
     merges p and t, so the closure joins x only with the atoms it does not
     already contain.  Closure under meet is a consequence and is re-verified
-    here when the lattice is small enough for the quadratic check.
+    on the pair masks (``SpLattice.keys``) when the lattice is small enough
+    for the quadratic check.
     """
     n = dfa.n
     atoms: dict[tuple[str, str], Partition] = {}
@@ -275,10 +277,19 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
                 found.append(z)
             ups.add(k)
         strictly_above.append(ups)
+    pairs, keys = [], []
+    for x in found:
+        members = [0] * n  # block label -> its states as a bit set
+        for i, lab in enumerate(x):
+            members[lab] |= 1 << i
+        # Row i of the pair bits holds the block-mates of i above i.
+        pairs.append(sum((members[lab] >> i + 1) << (i * n + i + 1) for i, lab in enumerate(x)))
+        accepting = sum(members[lab] for lab in {x[i] for i in dfa.accepting})
+        keys.append(pairs[-1] | accepting << n * n)
     if check_meet_closure and len(found) <= 1000:
-        for x, y in itertools.combinations(found, 2):
-            if _meet_labels(x, y) not in position:
-                raise RuntimeError("internal invariant violated: lattice not meet-closed")
+        merged = set(pairs)
+        if not all(p & q in merged for p, q in itertools.combinations(pairs, 2)):
+            raise RuntimeError("internal invariant violated: lattice not meet-closed")
     partitions = [Partition._from_canonical(z) for z in found]
     order = sorted(
         range(len(found)), key=lambda k: (-partitions[k].num_blocks, partitions[k].blocks)
@@ -289,6 +300,7 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
         elements=tuple(partitions[k] for k in order),
         atoms=atoms,
         above=tuple(tuple(sorted(rank[j] for j in strictly_above[k])) for k in order),
+        keys=tuple(keys[k] for k in order),
     )
 
 
@@ -303,37 +315,25 @@ class SeparationWitness:
     blocks_from_2: tuple[int, ...]
 
 
-def _separation(
-    x: Labels, y: Labels, finals: Sequence[int], others: Sequence[int]
-) -> SeparationWitness | None:
-    """The minimal pick (every block meeting ``finals``) if it separates them.
-
-    ``others`` are the states outside ``finals``; the pick fails exactly when
-    one of them lies in a picked block of both partitions.
-    """
-    picks1 = {x[i] for i in finals}
-    picks2 = {y[i] for i in finals}
-    for i in others:
-        if x[i] in picks1 and y[i] in picks2:
-            return None
-    return SeparationWitness(tuple(sorted(picks1)), tuple(sorted(picks2)))
-
-
 def separates_finals(
     p1: Partition, p2: Partition, finals: Iterable[int]
 ) -> SeparationWitness | None:
     """Witness that some block unions of p1 and p2 intersect exactly in ``finals``.
 
     Any witness must pick every block meeting ``finals``, and adding blocks can
-    only grow the intersection, so the minimal candidate is decisive: when it
-    fails, no witness exists and the result is None.
+    only grow the intersection, so the minimal candidate is decisive: it fails,
+    and no witness exists, exactly when a state outside ``finals`` lies in a
+    picked block of both partitions.
     """
     n = _check_same_ground(p1, p2)
     fin = frozenset(finals)
     if not all(0 <= i < n for i in fin):
         raise InputError("final states are not a subset of the partitioned set")
-    others = [i for i in range(n) if i not in fin]
-    return _separation(p1.block_index, p2.block_index, sorted(fin), others)
+    x, y = p1.block_index, p2.block_index
+    picks1, picks2 = {x[i] for i in fin}, {y[i] for i in fin}
+    if any(x[i] in picks1 and y[i] in picks2 for i in range(n) if i not in fin):
+        return None
+    return SeparationWitness(tuple(sorted(picks1)), tuple(sorted(picks2)))
 
 
 def is_distributive(lattice: SpLattice) -> bool:

@@ -1,9 +1,21 @@
+import dataclasses
 import io
 import json
 
 import pytest
 
-from dfadecomp import gen_a4b4_triple, gen_example31, gen_grid, parse_dfa, parse_dfas, print_dfa
+from dfadecomp import (
+    decompose_ai_sufficient,
+    decompose_asb,
+    decompose_sb,
+    decompose_wai_sufficient,
+    gen_a4b4_triple,
+    gen_example31,
+    gen_grid,
+    parse_dfa,
+    parse_dfas,
+    print_dfa,
+)
 from dfadecomp.cli import _FAMILIES, main
 
 
@@ -226,6 +238,49 @@ class TestJsonReport:
         )
         assert code == 0
         assert all(e["perfect"] for e in json.loads(out))
+
+    @pytest.mark.parametrize(
+        "kind, decompose, witness_kind",
+        [
+            ("sb", decompose_sb, "embedding"),
+            ("asb", decompose_asb, "embedding"),
+            ("ai", decompose_ai_sufficient, "separation"),
+            ("wai", decompose_wai_sufficient, "relation"),
+        ],
+    )
+    def test_layout_and_escaping_equal_json_dumps(
+        self, kind, decompose, witness_kind, capsys, monkeypatch
+    ):
+        # State names with a quote, a backslash and non-ASCII letters must be
+        # escaped exactly as json.dumps escapes them, in its indent=2 layout.
+        a = dataclasses.replace(
+            gen_grid(2, 3), states=('q"0', "a\\b", "é", 'x"\\', "\\u00e9", "ß")
+        )
+        entries = [
+            {
+                "kind": kind,
+                "a1_states": e.decomposition.a1.n,
+                "a2_states": e.decomposition.a2.n,
+                "nontrivial": e.nontrivial,
+                "perfect": e.perfect,
+                "redundant": e.redundant,
+                "partitions": [
+                    [[a.states[i] for i in block] for block in pi.blocks]
+                    for pi in e.decomposition.source_partitions
+                ],
+                "witness_kind": witness_kind,
+            }
+            for e in decompose(a).entries
+        ]
+        assert entries
+        code, out, err = run_cli(
+            capsys,
+            ["decompose", "--kind", kind, "--format", "json"],
+            stdin=print_dfa(a),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, err) == (0, "")
+        assert out == json.dumps(entries, indent=2) + "\n"
 
 
 GRID_2X3_AI = """\

@@ -1,7 +1,9 @@
 """Fast paths against their oracles on seeded random automata: the index
-lattice, its join steps, redundancy and distributivity against brute force,
-and ``verify`` and ``minimize`` against their earlier forms in helpers."""
+lattice, its join steps, its pair-mask keys, the emission conditions,
+redundancy and distributivity against brute force, and ``verify`` and
+``minimize`` against their earlier forms in helpers."""
 
+import itertools
 import random
 
 import pytest
@@ -19,6 +21,8 @@ from dfadecomp import (
     decompose_wai_sufficient,
     gen_grid,
     is_distributive,
+    leq,
+    meet,
     minimize,
     parallel_connection,
     print_dfa,
@@ -28,6 +32,7 @@ from dfadecomp import (
     verify,
 )
 from dfadecomp.automata import reachable_indexes
+from dfadecomp.decompositions import _emission_condition
 
 import helpers
 
@@ -98,6 +103,51 @@ def test_index_lattice_matches_oracles(seed):
 
     if len(elements) <= TRIPLE_ORACLE_LIMIT:
         assert is_distributive(lattice) == helpers.distributive_by_triples(lattice)
+
+
+@pytest.mark.parametrize("seed", range(90))
+def test_lattice_keys_match_partition_operations(seed):
+    a = _random_trimmed(seed)
+    n = a.n
+    lattice = sp_lattice(a)
+    elements = lattice.elements
+    pairs = {}  # element -> its key's pair bits
+    for pi, key in zip(elements, lattice.keys):
+        merged = [(i, j) for i, j in itertools.combinations(range(n), 2) if pi.same_block(i, j)]
+        pairs[pi] = sum(1 << (i * n + j) for i, j in merged)
+        meets_finals = {pi.block_index[i] for i in a.accepting}
+        accepting = sum(1 << i for i in range(n) if pi.block_index[i] in meets_finals)
+        assert key == pairs[pi] | accepting << n * n
+    conditions = {
+        kind: (_emission_condition(kind, a), helpers.scan_condition(kind, a))
+        for kind in DECOMPOSERS
+    }
+    keyed = list(zip(elements, lattice.keys))
+    for (x, kx), (y, ky) in itertools.product(keyed, repeat=2):
+        assert pairs[x] & pairs[y] == pairs[meet(x, y)]
+        assert leq(x, y) == (pairs[x] & ~pairs[y] == 0)
+        for kind, (by_key, by_partitions) in conditions.items():
+            assert by_key(kx, ky) == bool(by_partitions(x, y)), kind
+
+    def by_blocks(pair):
+        return pair[0].blocks, pair[1].blocks
+
+    factors = sorted(lattice.nontrivial(), key=lambda pi: (pi.num_blocks, pi.blocks))
+    for kind, decompose in DECOMPOSERS.items():
+        scan = helpers.scan_condition(kind, a)
+        expected = [p for p in itertools.combinations_with_replacement(factors, 2) if scan(*p)]
+        reported = [e.decomposition.source_partitions for e in decompose(a).entries]
+        assert sorted(reported, key=by_blocks) == sorted(expected, key=by_blocks), kind
+    # The wai witness is every block pair whose cell holds only accepting states.
+    for e in decompose_wai_sufficient(a).entries:
+        d = e.decomposition
+        pa, pb = d.source_partitions
+        assert d.witness == frozenset(
+            (d.a1.states[i], d.a2.states[j])
+            for i, b1 in enumerate(pa.blocks)
+            for j, b2 in enumerate(pb.blocks)
+            if set(b1) & set(b2) <= a.accepting
+        )
 
 
 @pytest.mark.parametrize("r, s", [(4, 5), (3, 7)])

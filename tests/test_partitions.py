@@ -23,6 +23,7 @@ from dfadecomp import (
     sp_lattice,
 )
 
+import dfadecomp.partitions
 import helpers
 
 
@@ -198,6 +199,45 @@ class TestSpLattice:
         }
         for pair, atom in lattice.atoms.items():
             assert atom == min_sp_merging(g, *pair)
+
+
+class TestMeetClosureSelfCheck:
+    """``sp_lattice`` re-checks closure under meet on its pair masks.  On four
+    states that one letter fixes, every partition is S.P.; a join that never
+    yields {0,1|2|3} leaves {0,1,2|3} and {0,1,3|2} without their meet."""
+
+    IDENTITY4 = Dfa(
+        name="identity4",
+        states=("s0", "s1", "s2", "s3"),
+        alphabet=("a",),
+        table=((0,), (1,), (2,), (3,)),
+        initial=0,
+        accepting=frozenset({0}),
+    )
+
+    @pytest.fixture
+    def join_skipping_01(self, monkeypatch):
+        real = dfadecomp.partitions._join_labels
+
+        def join_labels(x, y):
+            z = real(x, y)
+            return (0, 0, 0, 0) if z == (0, 0, 1, 2) else z
+
+        monkeypatch.setattr(dfadecomp.partitions, "_join_labels", join_labels)
+
+    def test_the_real_lattice_passes_the_check(self):
+        assert len(sp_lattice(self.IDENTITY4).elements) == 15  # Bell(4)
+
+    def test_a_missing_meet_is_an_internal_error(self, join_skipping_01):
+        with pytest.raises(RuntimeError) as exc:
+            sp_lattice(self.IDENTITY4)
+        assert str(exc.value) == "internal invariant violated: lattice not meet-closed"
+
+    def test_the_check_can_be_switched_off(self, join_skipping_01):
+        lattice = sp_lattice(self.IDENTITY4, check_meet_closure=False)
+        assert len(lattice.elements) == 14
+        assert Partition([[0, 1], [2], [3]]) not in lattice
+        assert {Partition([[0, 1, 2], [3]]), Partition([[0, 1, 3], [2]])} <= set(lattice.elements)
 
 
 class TestSeparatesFinals:
