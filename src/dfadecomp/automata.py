@@ -206,20 +206,21 @@ def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
     original state order.
     """
     # partitions imports Dfa from this module, so import from it at call time.
-    from .partitions import Partition, _canonical, quotient
+    from .partitions import Partition, _leaders, quotient
 
     base = trim(dfa)
-    block = _canonical(i in base.accepting for i in range(base.n))
+    block = _leaders(i in base.accepting for i in range(base.n))
     while True:
         # Each key starts with the state's own block, so a round only splits
         # blocks, and an unchanged vector is the fixpoint.
-        refined = _canonical((b, *map(block.__getitem__, row)) for b, row in zip(block, base.table))
+        refined = _leaders((b, *map(block.__getitem__, row)) for b, row in zip(block, base.table))
         if refined == block:
             break
         block = refined
-    accepting = {block[i] for i in base.accepting}
-    result = quotient(base, Partition._from_canonical(block), accepting, name=dfa.name + "_min")
-    mapping: StateMap = {q: result.states[b] for q, b in zip(base.states, block)}
+    pi = Partition._from_leaders(block)
+    accepting = {pi.block_index[i] for i in base.accepting}
+    result = quotient(base, pi, accepting, name=dfa.name + "_min")
+    mapping: StateMap = {q: result.states[b] for q, b in zip(base.states, pi.block_index)}
     return result, mapping
 
 

@@ -175,26 +175,28 @@ def verify(
 
 
 def _entry_from_partitions(
-    a: Dfa, kind: DecompositionKind, pa: Partition, pb: Partition, a1: Dfa, a2: Dfa
+    a: Dfa, kind: DecompositionKind, pa: Partition, pb: Partition, a1: Dfa, a2: Dfa, pairs: dict
 ) -> Decomposition:
     """The pair of quotients ``a1``, ``a2`` of ``a`` by (pa, pb) with its
-    kind's witness; for ``ai`` that is the blocks the quotients accept."""
+    kind's witness; for ``ai`` that is the blocks the quotients accept.
+    Equal state-name pairs across a report's witnesses share one tuple in
+    ``pairs`` (grid(3,5) wai: 671 distinct pairs in 48980 relation members)."""
     if kind is DecompositionKind.AI:
         witness = SeparationWitness(tuple(sorted(a1.accepting)), tuple(sorted(a2.accepting)))
     elif kind is DecompositionKind.WAI:
         # Every block pair whose cell holds no rejecting state, empty cells included.
         rejecting = {(pa.block_index[i], pb.block_index[i]) for i in set(range(a.n)) - a.accepting}
         witness = frozenset(
-            (q1, q2)
+            pairs.setdefault((q1, q2), (q1, q2))
             for i, q1 in enumerate(a1.states)
             for j, q2 in enumerate(a2.states)
             if (i, j) not in rejecting
         )
     else:
-        witness = {
-            a.states[i]: (a1.states[pa.block_index[i]], a2.states[pb.block_index[i]])
-            for i in range(a.n)
-        }
+        witness = {}
+        for i, q in enumerate(a.states):
+            pair = a1.states[pa.block_index[i]], a2.states[pb.block_index[i]]
+            witness[q] = pairs.setdefault(pair, pair)
     return Decomposition(kind, a1, a2, witness, (pa, pb))
 
 
@@ -214,21 +216,20 @@ def _emission_condition(kind: DecompositionKind, a: Dfa) -> Callable[[int, int],
     n = a.n
     accepting = sum(1 << i for i in a.accepting)
     rejecting = (1 << n) - 1 - accepting
-    pairs = (1 << n * n) - 1
-    # Row i of the mixed pairs holds the states above i of the other acceptance.
-    mixed = sum(
-        ((rejecting if i in a.accepting else accepting) >> i + 1) << (i * n + i + 1)
-        for i in range(n)
-    )
-    masks = {
-        DecompositionKind.SB: pairs,
-        DecompositionKind.ASB: pairs | rejecting << n * n,
-        DecompositionKind.AI: rejecting << n * n,
-        DecompositionKind.WAI: mixed,
-    }
-    if kind not in masks:
+    if kind == DecompositionKind.SB:
+        mask = (1 << n * n) - 1
+    elif kind == DecompositionKind.ASB:
+        mask = (1 << n * n) - 1 | rejecting << n * n
+    elif kind == DecompositionKind.AI:
+        mask = rejecting << n * n
+    elif kind == DecompositionKind.WAI:
+        # Row i of the mixed pairs holds the states above i of the other acceptance.
+        mask = sum(
+            ((rejecting if i in a.accepting else accepting) >> i + 1) << (i * n + i + 1)
+            for i in range(n)
+        )
+    else:
         raise InputError(f"no lattice-based construction for kind {kind.value!r}")
-    mask = masks[kind]
     return lambda kx, ky: not kx & ky & mask
 
 
@@ -252,12 +253,12 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
         (k for k, pi in enumerate(elements) if not pi.is_trivial()),
         key=lambda k: (elements[k].num_blocks, elements[k].blocks),
     )
-    entries = []
+    entries, pairs = [], {}
     for i, j in itertools.combinations_with_replacement(factors, 2):
         if not condition(keys[i], keys[j]):
             continue
         a1, a2 = quotient_of(i, 1), quotient_of(j, 2)
-        d = _entry_from_partitions(a, kind, elements[i], elements[j], a1, a2)
+        d = _entry_from_partitions(a, kind, elements[i], elements[j], a1, a2, pairs)
         entries.append(
             ReportEntry(
                 decomposition=d,
@@ -366,7 +367,7 @@ def project_to_minimal(a: Dfa, d: Decomposition) -> Decomposition | Refusal:
         )
     a1 = quotient(mdfa, p1, (), name=f"{mdfa.name}_q1")
     a2 = quotient(mdfa, p2, (), name=f"{mdfa.name}_q2")
-    return _entry_from_partitions(mdfa, DecompositionKind.SB, p1, p2, a1, a2)
+    return _entry_from_partitions(mdfa, DecompositionKind.SB, p1, p2, a1, a2, {})
 
 
 def transfer_to_minimal(

@@ -2,11 +2,13 @@
 substitution property.
 
 A partition is kept in canonical block form (members sorted, blocks sorted by
-least member), so equality and hashing are structural.  Its ``block_index`` is
-the matching label vector: each state's block position, numbered by first
-occurrence.  The lattice algorithms run on these label vectors and build
-:class:`Partition` objects only for their results.  All functions here work on
-state indexes; name formatting lives in :mod:`dfadecomp.textio`.
+least member), so equality and hashing are structural, and ``block_index``
+gives each state's block position.  The lattice algorithms run on leader
+vectors, which name each state's block by its least state: the form that a
+union-find hanging larger roots under smaller ones resolves to, so they never
+renumber.  :class:`Partition` objects are built only for results.  All
+functions here work on state indexes; name formatting lives in
+:mod:`dfadecomp.textio`.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ from typing import Hashable, Iterable, Mapping
 from .automata import Dfa
 from .errors import InputError
 
-# A canonical label vector: state i lies in block labels[i], and the labels
-# are numbered by first occurrence.
-Labels = tuple[int, ...]
+# A leader vector: state i lies in the block whose least state is
+# leaders[i], so leaders[i] <= i and leaders[leaders[i]] == leaders[i].
+Leaders = tuple[int, ...]
 
 
 def _union(root: list[int], i: int, j: int) -> bool:
@@ -50,27 +52,26 @@ def _resolve(root: list[int]) -> list[int]:
     return root
 
 
-def _canonical(labels: Iterable[Hashable]) -> Labels:
-    """Renumber labels by first occurrence, so equal partitions get equal vectors."""
-    seen: dict[Hashable, int] = {}
-    return tuple([seen.setdefault(lab, len(seen)) for lab in labels])
+def _leaders(labels: Iterable[Hashable]) -> Leaders:
+    """The leader vector of any labelling: each state names the least state
+    that carries its label."""
+    first: dict[Hashable, int] = {}
+    return tuple([first.setdefault(lab, i) for i, lab in enumerate(labels)])
 
 
-def _join_labels(x: Labels, y: Labels) -> Labels:
-    """Union the blocks of x that a common block of y links, then renumber."""
-    root = list(range(len(x)))
-    first: dict[int, int] = {}
-    for xi, yi in zip(x, y):
-        xj = first.setdefault(yi, xi)
-        if xj != xi:
-            _union(root, xi, xj)
-    return _canonical(map(_resolve(root).__getitem__, x))
+def _join(x: Leaders, y: Leaders) -> Leaders:
+    """Finest common coarsening of two leader vectors: x is already a resolved
+    union-find forest, so each state is merged with its leader in y."""
+    root = list(x)
+    for i, yi in enumerate(y):
+        if yi != i:
+            _union(root, i, yi)
+    return tuple(_resolve(root))
 
 
-def _leq_labels(x: Labels, y: Labels) -> bool:
-    """True iff x refines y: every block of x carries a single y label."""
-    label_of: dict[int, int] = {}
-    return all(label_of.setdefault(xi, yi) == yi for xi, yi in zip(x, y))
+def _leq(x: Leaders, y: Leaders) -> bool:
+    """True iff x refines y, any labelling: each state has its x leader's y label."""
+    return all(y[i] == y[xi] for i, xi in enumerate(x))
 
 
 class Partition:
@@ -89,33 +90,32 @@ class Partition:
         for pos, block in enumerate(self.blocks):
             for i in block:
                 index[i] = pos
-        self.block_index: Labels = tuple(index)
+        self.block_index: tuple[int, ...] = tuple(index)
 
     @classmethod
-    def _from_canonical(cls, labels: Labels) -> "Partition":
-        """The partition of a canonical label vector, built without re-sorting."""
-        blocks: list[list[int]] = []
-        for i, lab in enumerate(labels):
-            if lab == len(blocks):
-                blocks.append([i])
-            else:
-                blocks[lab].append(i)
+    def _from_leaders(cls, leaders: Leaders) -> "Partition":
+        """The partition of a leader vector, built without re-sorting: blocks
+        come in the order of their leaders, their least members."""
+        blocks: dict[int, list[int]] = {}
+        for i, lead in enumerate(leaders):
+            blocks.setdefault(lead, []).append(i)
+        position = {lead: k for k, lead in enumerate(blocks)}
         pi = cls.__new__(cls)
-        pi.blocks = tuple(map(tuple, blocks))
-        pi.block_index = labels
+        pi.blocks = tuple(map(tuple, blocks.values()))
+        pi.block_index = tuple(map(position.__getitem__, leaders))
         return pi
 
     @classmethod
     def from_assignment(cls, labels: Iterable[int]) -> "Partition":
-        return cls._from_canonical(_canonical(labels))
+        return cls._from_leaders(_leaders(labels))
 
     @staticmethod
     def singletons(n: int) -> "Partition":
-        return Partition._from_canonical(tuple(range(n)))
+        return Partition._from_leaders(tuple(range(n)))
 
     @staticmethod
     def whole(n: int) -> "Partition":
-        return Partition._from_canonical((0,) * n)
+        return Partition._from_leaders((0,) * n)
 
     @property
     def n(self) -> int:
@@ -152,19 +152,19 @@ def _check_same_ground(p1: Partition, p2: Partition) -> int:
 def meet(p1: Partition, p2: Partition) -> Partition:
     """Coarsest common refinement: blocks are the nonempty block intersections."""
     _check_same_ground(p1, p2)
-    return Partition._from_canonical(_canonical(zip(p1.block_index, p2.block_index)))
+    return Partition._from_leaders(_leaders(zip(p1.block_index, p2.block_index)))
 
 
 def join(p1: Partition, p2: Partition) -> Partition:
     """Finest common coarsening, via union-find over both block structures."""
     _check_same_ground(p1, p2)
-    return Partition._from_canonical(_join_labels(p1.block_index, p2.block_index))
+    return Partition._from_leaders(_join(_leaders(p1.block_index), _leaders(p2.block_index)))
 
 
 def leq(p1: Partition, p2: Partition) -> bool:
     """True iff p1 refines p2 (every block of p1 sits inside a block of p2)."""
     _check_same_ground(p1, p2)
-    return _leq_labels(p1.block_index, p2.block_index)
+    return _leq(_leaders(p1.block_index), p2.block_index)
 
 
 def is_sp(dfa: Dfa, pi: Partition) -> bool:
@@ -190,19 +190,19 @@ def min_sp_merging(dfa: Dfa, p: str, t: str) -> Partition:
     Closure by union-find: whenever two merged states disagree on a successor
     block, the successors are merged as well, until stable.
     """
-    return Partition._from_canonical(
+    return Partition._from_leaders(
         _min_sp_merging_labels(dfa, dfa.state_index(p), dfa.state_index(t))
     )
 
 
-def _min_sp_merging_labels(dfa: Dfa, p: int, t: int) -> Labels:
+def _min_sp_merging_labels(dfa: Dfa, p: int, t: int) -> Leaders:
     root = list(range(dfa.n))
     pending = [(p, t)]
     while pending:
         x, y = pending.pop()
         if _union(root, x, y):
             pending.extend(zip(dfa.table[x], dfa.table[y]))
-    return _canonical(_resolve(root))
+    return tuple(_resolve(root))
 
 
 @dataclass(frozen=True)
@@ -252,15 +252,15 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     """
     n = dfa.n
     atoms: dict[tuple[str, str], Partition] = {}
-    atom_of: dict[Labels, Partition] = {}
-    merging: list[tuple[int, int, Labels]] = []  # one generating pair per distinct atom
+    atom_of: dict[Leaders, Partition] = {}
+    merging: list[tuple[int, int, Leaders]] = []  # one generating pair per distinct atom
     for p in range(n):
         for t in range(p + 1, n):
-            labels = _min_sp_merging_labels(dfa, p, t)
-            if labels not in atom_of:
-                atom_of[labels] = Partition._from_canonical(labels)
-                merging.append((p, t, labels))
-            atoms[(dfa.states[p], dfa.states[t])] = atom_of[labels]
+            leaders = _min_sp_merging_labels(dfa, p, t)
+            if leaders not in atom_of:
+                atom_of[leaders] = Partition._from_leaders(leaders)
+                merging.append((p, t, leaders))
+            atoms[(dfa.states[p], dfa.states[t])] = atom_of[leaders]
     bottom = tuple(range(n))
     position = {bottom: 0}
     found = [bottom]
@@ -270,7 +270,7 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
         for p, t, atom in merging:
             if x[p] == x[t]:
                 continue
-            z = _join_labels(x, atom)
+            z = _join(x, atom)
             k = position.get(z)
             if k is None:
                 k = position[z] = len(found)
@@ -279,7 +279,7 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
         strictly_above.append(ups)
     pairs, keys = [], []
     for x in found:
-        members = [0] * n  # block label -> its states as a bit set
+        members = [0] * n  # block leader -> its states as a bit set
         for i, lab in enumerate(x):
             members[lab] |= 1 << i
         # Row i of the pair bits holds the block-mates of i above i.
@@ -290,7 +290,7 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
         merged = set(pairs)
         if not all(p & q in merged for p, q in itertools.combinations(pairs, 2)):
             raise RuntimeError("internal invariant violated: lattice not meet-closed")
-    partitions = [Partition._from_canonical(z) for z in found]
+    partitions = [Partition._from_leaders(z) for z in found]
     order = sorted(
         range(len(found)), key=lambda k: (-partitions[k].num_blocks, partitions[k].blocks)
     )
@@ -343,25 +343,22 @@ def is_distributive(lattice: SpLattice) -> bool:
     join-prime, that is j is not below the join of all elements not above it
     (Davey & Priestley, *Introduction to Lattices and Order*).  Every element
     is a join of atoms, so the join-irreducibles are the distinct atoms that
-    are not the join of the atoms strictly below them.  This takes
-    O(|atoms| * |L|) joins of label vectors.
+    are not the join of the atoms strictly below them.  An element not above
+    j is the join of the atoms below it, none of which is above j, so the
+    join of all elements not above j is the join of the atoms not above j.
+    This takes O(|atoms|^2) joins of leader vectors.
     """
-    elements = [pi.block_index for pi in lattice.elements]
-    atoms = list(dict.fromkeys(pi.block_index for pi in lattice.atoms.values()))
-    bottom = elements[0]
+    atoms = [_leaders(pi.block_index) for pi in dict.fromkeys(lattice.atoms.values())]
+    bottom = tuple(range(lattice.elements[0].n))
     for j in atoms:
-        below = bottom
+        below = rest = bottom
         for a in atoms:
-            if a != j and _leq_labels(a, j):
-                below = _join_labels(below, a)
-        if below == j:
-            continue
-        rest = bottom
-        for x in elements:
-            if not _leq_labels(j, x) and not _leq_labels(x, rest):
-                rest = _join_labels(rest, x)
-                if _leq_labels(j, rest):
-                    return False
+            if not _leq(j, a):
+                rest = _join(rest, a)
+                if _leq(a, j):
+                    below = _join(below, a)
+        if below != j and _leq(j, rest):
+            return False
     return True
 
 

@@ -8,6 +8,7 @@ implementation against "the oracle", the oracle lives here.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 
@@ -25,7 +26,6 @@ from dfadecomp import (
     SpLattice,
     accepts,
     estimate_search_space,
-    join,
     leq,
     meet,
     separates_finals,
@@ -235,10 +235,12 @@ def redundant_by_scan(a: Dfa, d: Decomposition, lattice: SpLattice) -> bool:
 
 
 def distributive_by_triples(lattice: SpLattice) -> bool:
-    """Meet distributes over join across all O(|L|^3) element triples."""
-    elements = lattice.elements
+    """Meet distributes over join across all O(|L|^3) element triples, with
+    the frozenset meet and join memoized per pair."""
+    elements = [fs(pi) for pi in lattice.elements]
+    meet_, join_ = functools.cache(fs_meet), functools.cache(fs_join)
     return all(
-        meet(x, join(y, z)) == join(meet(x, y), meet(x, z))
+        meet_(x, join_(y, z)) == join_(meet_(x, y), meet_(x, z))
         for x in elements
         for y in elements
         for z in elements

@@ -389,6 +389,28 @@ class TestGoldenOutput:
             "end\n"
         )
 
+    def test_lattice_lists_blocks_in_state_order(self, capsys, monkeypatch):
+        # The states line lists the states out of breadth-first order, so the
+        # least state of a block need not be the first one a run reaches.
+        _, a_prime = gen_example31()
+        text = print_dfa(a_prime).replace(
+            "states a0 a1 b0 b1 R0 R1\n", "states R1 b1 a0 R0 b0 a1\n"
+        )
+        code, out, _ = run_cli(capsys, ["lattice"], stdin=text, monkeypatch=monkeypatch)
+        assert code == 0
+        assert out == (
+            "# 9 substitution-property partitions of example31_prime\n"
+            "{R1|b1|a0|R0|b0|a1}\n"
+            "{R1,R0|b1|a0|b0|a1}\n"
+            "{R1,b1|a0|R0,b0|a1}\n"
+            "{R1,R0|b1,b0|a0|a1}\n"
+            "{R1,b1|a0,a1|R0,b0}\n"
+            "{R1,b1,R0,b0|a0|a1}\n"
+            "{R1,b1|a0,R0,b0,a1}\n"
+            "{R1,b1,R0,b0|a0,a1}\n"
+            "{R1,b1,a0,R0,b0,a1}\n"
+        )
+
     def test_decompose_ai_text_order_and_orientation(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys,

@@ -105,6 +105,15 @@ def test_index_lattice_matches_oracles(seed):
         assert is_distributive(lattice) == helpers.distributive_by_triples(lattice)
 
 
+def test_the_distributivity_comparison_sees_both_outcomes():
+    outcomes = set()
+    for seed in range(90):
+        lattice = sp_lattice(_random_trimmed(seed))
+        if len(lattice.elements) <= TRIPLE_ORACLE_LIMIT:
+            outcomes.add(is_distributive(lattice))
+    assert outcomes == {True, False}
+
+
 @pytest.mark.parametrize("seed", range(90))
 def test_lattice_keys_match_partition_operations(seed):
     a = _random_trimmed(seed)

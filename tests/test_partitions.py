@@ -100,6 +100,67 @@ class TestLatticeOperations:
         assert leq(x, y) == helpers.fs_refines(helpers.fs(x), helpers.fs(y))
 
 
+def _labelling_pairs(max_n=7):
+    """Two arbitrary labellings of one state set, labels not renumbered."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(0, 4), min_size=n, max_size=n)] * 2)
+    )
+
+
+def _fs_of(labels) -> helpers.FsPartition:
+    """The frozenset model of any labelling: states sharing a label share a block."""
+    return frozenset(
+        frozenset(j for j, other in enumerate(labels) if other == lab) for lab in set(labels)
+    )
+
+
+def _is_leader_vector(v) -> bool:
+    # Every block then holds its leader, and every other member is larger.
+    return all(v[i] <= i and v[v[i]] == v[i] for i in range(len(v)))
+
+
+class TestLeaderVectors:
+    """The private leader-vector helpers against the frozenset model."""
+
+    @settings(max_examples=150)
+    @given(_labelling_pairs())
+    def test_leaders_name_each_block_by_its_least_state(self, pair):
+        labels, _ = pair
+        v = dfadecomp.partitions._leaders(labels)
+        assert _is_leader_vector(v)
+        assert list(v) == [labels.index(lab) for lab in labels]
+        assert _fs_of(v) == _fs_of(labels)
+
+    @settings(max_examples=150)
+    @given(_labelling_pairs())
+    def test_join_and_leq_match_the_frozenset_model(self, pair):
+        x, y = map(dfadecomp.partitions._leaders, pair)
+        z = dfadecomp.partitions._join(x, y)
+        assert _is_leader_vector(z)
+        assert _fs_of(z) == helpers.fs_join(_fs_of(x), _fs_of(y))
+        assert dfadecomp.partitions._leq(x, y) == helpers.fs_refines(_fs_of(x), _fs_of(y))
+        assert dfadecomp.partitions._leq(y, x) == helpers.fs_refines(_fs_of(y), _fs_of(x))
+
+    @settings(max_examples=150)
+    @given(_labelling_pairs())
+    def test_from_leaders_has_the_model_blocks(self, pair):
+        labels, _ = pair
+        pi = Partition._from_leaders(dfadecomp.partitions._leaders(labels))
+        assert helpers.fs(pi) == _fs_of(labels)
+        sorted_form = Partition(_fs_of(labels))
+        assert (pi.blocks, pi.block_index) == (sorted_form.blocks, sorted_form.block_index)
+
+    @settings(max_examples=100)
+    @given(helpers.dfas(), st.data())
+    def test_min_sp_merging_labels_is_a_leader_vector(self, dfa, data):
+        p = data.draw(st.integers(0, dfa.n - 1))
+        t = data.draw(st.integers(0, dfa.n - 1))
+        v = dfadecomp.partitions._min_sp_merging_labels(dfa, p, t)
+        assert _is_leader_vector(v)
+        assert v[p] == v[t]
+        assert helpers.fs_is_sp(dfa, _fs_of(v))
+
+
 class TestSubstitutionProperty:
     def test_grid_rows_have_sp(self):
         g = gen_grid(3, 5)
@@ -217,13 +278,13 @@ class TestMeetClosureSelfCheck:
 
     @pytest.fixture
     def join_skipping_01(self, monkeypatch):
-        real = dfadecomp.partitions._join_labels
+        real = dfadecomp.partitions._join
 
-        def join_labels(x, y):
+        def join(x, y):
             z = real(x, y)
-            return (0, 0, 0, 0) if z == (0, 0, 1, 2) else z
+            return (0, 0, 0, 0) if z == (0, 0, 2, 3) else z  # {0,1|2|3} as leaders
 
-        monkeypatch.setattr(dfadecomp.partitions, "_join_labels", join_labels)
+        monkeypatch.setattr(dfadecomp.partitions, "_join", join)
 
     def test_the_real_lattice_passes_the_check(self):
         assert len(sp_lattice(self.IDENTITY4).elements) == 15  # Bell(4)
