@@ -6,7 +6,7 @@ that searches over many small automata stay cheap.
 
 ``_triple_bfs`` is the package's one product search: equivalence, reachable
 configurations and every decomposition check run A, A1 and A2 in parallel
-through it.
+through it.  It keeps no BFS parents: a reported word comes from a second search.
 """
 
 from __future__ import annotations
@@ -260,41 +260,54 @@ def parallel_connection(a1: Dfa, a2: Dfa, name: str | None = None) -> Dfa:
 
 
 def _triple_bfs(a: Dfa, a1: Dfa, a2: Dfa):
-    """Joint configurations reachable by a common word, with BFS parents."""
+    """Joint configurations reachable by a common word, in BFS visit order,
+    and ``word_to(triple)``, the word on which the BFS first reaches it.
+    Only a seen set is kept: ``word_to`` searches again with parents and
+    stops at the triple, so only callers that report a word pay for them."""
     cols1 = _require_same_alphabet(a, a1)
     cols2 = _require_same_alphabet(a, a2)
-    syms = range(len(a.alphabet))
+    # One (A, A1, A2) successor column per symbol: the tables transposed.
+    t1, t2 = list(zip(*a1.table)), list(zip(*a2.table))
+    columns = list(zip(zip(*a.table), (t1[c] for c in cols1), (t2[c] for c in cols2)))
     start = (a.initial, a1.initial, a2.initial)
-    parents: dict[tuple[int, int, int], tuple[tuple[int, int, int], int] | None] = {start: None}
+    seen = {start}
     order = [start]
-    for cur in order:  # ``order`` grows while this loop runs
-        i, j, k = cur
-        for s in syms:
-            nxt = (a.table[i][s], a1.table[j][cols1[s]], a2.table[k][cols2[s]])
-            if nxt not in parents:
-                parents[nxt] = (cur, s)
+    for i, j, k in order:  # ``order`` grows while this loop runs
+        for ca, c1, c2 in columns:
+            nxt = (ca[i], c1[j], c2[k])
+            if nxt not in seen:
+                seen.add(nxt)
                 order.append(nxt)
-    return order, parents
 
+    def word_to(triple: tuple[int, int, int]) -> tuple[str, ...]:
+        parents, visit = {start: None}, [start]
+        for cur in visit:
+            if triple in parents:
+                break
+            i, j, k = cur
+            for s, (ca, c1, c2) in enumerate(columns):
+                nxt = (ca[i], c1[j], c2[k])
+                if nxt not in parents:
+                    parents[nxt] = (cur, s)
+                    visit.append(nxt)
+        word: list[str] = []
+        while parents[triple] is not None:
+            triple, s = parents[triple]
+            word.append(a.alphabet[s])
+        return tuple(reversed(word))
 
-def _word_to(parents, triple, alphabet) -> tuple[str, ...]:
-    word: list[str] = []
-    cursor = triple
-    while parents[cursor] is not None:
-        cursor, s = parents[cursor]
-        word.append(alphabet[s])
-    return tuple(reversed(word))
+    return order, word_to
 
 
 def difference_witness(a: Dfa, b: Dfa) -> tuple[str, ...] | None:
     """Shortest-first word accepted by exactly one of the two, or None."""
-    # The third run repeats the second, so order and parents are those of
-    # the pair product and the first differing triple ends a shortest word.
-    order, parents = _triple_bfs(a, b, b)
+    # The third run repeats the second, so the visit order is that of the
+    # pair product and the first differing triple ends a shortest word.
+    order, word_to = _triple_bfs(a, b, b)
     for triple in order:
         i, j, _ = triple
         if (i in a.accepting) != (j in b.accepting):
-            return _word_to(parents, triple, a.alphabet)
+            return word_to(triple)
     return None
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .automata import Dfa, _triple_bfs, _word_to, minimize, reachable_indexes
+from .automata import Dfa, _triple_bfs, minimize, reachable_indexes
 from .errors import InputError
 from .partitions import (
     Partition,
@@ -116,39 +116,42 @@ def verify(
     without unreachable states; language-level ``ai`` has no such restriction.
     For those kinds each reachable pair keeps the first state it reaches, and
     the refused pair is the earliest reached one that meets a second state
-    (for ``wai``, one that differs on acceptance).
+    (for ``wai``, one that differs on acceptance).  The word of an ``ai`` or
+    ``asb`` refusal comes from a second search that stops at the refused triple.
     """
     kind = _as_kind(kind)
     _require_reachable(a, kind)
-    order, parents = _triple_bfs(a, a1, a2)
+    order, word_to = _triple_bfs(a, a1, a2)
 
     if kind in (DecompositionKind.AI, DecompositionKind.ASB):
         for triple in order:
             i, j, k = triple
             if (i in a.accepting) != (j in a1.accepting and k in a2.accepting):
-                word = _word_to(parents, triple, a.alphabet)
+                word = word_to(triple)
                 return Refusal(
                     f"languages differ on word {''.join(word) or '(empty)'!r}", word
                 )
         if kind is DecompositionKind.AI:
             return Decomposition(kind, a1, a2, None)
 
-    # Each reachable pair keeps the first state it reaches; a pair that later
-    # meets another state (under wai, one of the other acceptance) clashes.
+    # Each reachable pair (j, k), keyed j * n2 + k, keeps the first state it reaches;
+    # one that later meets another state (under wai, of the other acceptance) clashes.
     wai = kind is DecompositionKind.WAI
-    first: dict[tuple[int, int], int] = {}
+    n2 = a2.n
+    first: dict[int, int] = {}
     clashing = set()
     for i, j, k in order:
-        f = first.setdefault((j, k), i)
+        pair = j * n2 + k
+        f = first.setdefault(pair, i)
         if f != i and (not wai or (f in a.accepting) != (i in a.accepting)):
-            clashing.add((j, k))
+            clashing.add(pair)
 
-    def named(pair: tuple[int, int]) -> tuple[str, str]:
-        return a1.states[pair[0]], a2.states[pair[1]]
+    def named(pair: int) -> tuple[str, str]:
+        return a1.states[pair // n2], a2.states[pair % n2]
 
     if clashing:
         pair = next(p for p in first if p in clashing)
-        states = {a.states[i] for i, j, k in order if (j, k) == pair}
+        states = {a.states[i] for i, j, k in order if j * n2 + k == pair}
         reason = (
             "reachable pair maps to states disagreeing on acceptance"
             if wai
@@ -162,7 +165,7 @@ def verify(
         return Decomposition(kind, a1, a2, {named(p): a.states[i] for p, i in first.items()})
 
     # sb and asb also need distinct pairs to reach distinct states.
-    pair_of: dict[int, tuple[int, int]] = {}
+    pair_of: dict[int, int] = {}
     for pair, i in first.items():
         earlier = pair_of.setdefault(i, pair)
         if earlier != pair:

@@ -31,7 +31,7 @@ from dfadecomp import (
     separates_finals,
     verify,
 )
-from dfadecomp.automata import _triple_bfs, _word_to, reachable_indexes, trim
+from dfadecomp.automata import _require_same_alphabet, reachable_indexes, trim
 from dfadecomp.decompositions import Refusal, _as_kind, _require_reachable
 from dfadecomp.oracle import FEASIBILITY_BOUND
 from dfadecomp.partitions import quotient
@@ -50,6 +50,12 @@ def dfas(draw):
     acc = frozenset(i for i in range(n) if draw(st.booleans()))
     initial = draw(st.integers(0, n - 1))
     return Dfa("h", tuple(f"q{i}" for i in range(n)), ("a", "b"), table, initial, acc)
+
+
+def length_counter(p: int, accepting, name: str) -> Dfa:
+    """Counter of word length modulo p over {a, b}, accepting the given residues."""
+    return Dfa(name, tuple(f"c{i}" for i in range(p)), ("a", "b"),
+               tuple(((i + 1) % p, (i + 1) % p) for i in range(p)), 0, frozenset(accepting))
 
 
 def words_up_to(alphabet, max_len):
@@ -336,18 +342,47 @@ def certify_by_enumeration(kind, dfa: Dfa, budget: SearchBudget):
     )
 
 
+def triple_bfs_with_parents(a: Dfa, a1: Dfa, a2: Dfa):
+    """The product search with a BFS parent recorded for every triple: the
+    visit order, and each triple's (first parent, symbol index) or None."""
+    cols1 = _require_same_alphabet(a, a1)
+    cols2 = _require_same_alphabet(a, a2)
+    syms = range(len(a.alphabet))
+    start = (a.initial, a1.initial, a2.initial)
+    parents = {start: None}
+    order = [start]
+    for cur in order:
+        i, j, k = cur
+        for s in syms:
+            nxt = (a.table[i][s], a1.table[j][cols1[s]], a2.table[k][cols2[s]])
+            if nxt not in parents:
+                parents[nxt] = (cur, s)
+                order.append(nxt)
+    return order, parents
+
+
+def word_by_parents(parents, triple, alphabet) -> tuple[str, ...]:
+    """The word spelled by the parent chain from the start to ``triple``."""
+    word: list[str] = []
+    cursor = triple
+    while parents[cursor] is not None:
+        cursor, s = parents[cursor]
+        word.append(alphabet[s])
+    return tuple(reversed(word))
+
+
 def verify_by_pair_sets(kind, a: Dfa, a1: Dfa, a2: Dfa):
     """``verify`` by collecting, for every reachable pair, the set of states
     it reaches, then scanning those sets for a clash and for injectivity."""
     kind = _as_kind(kind)
     _require_reachable(a, kind)
-    order, parents = _triple_bfs(a, a1, a2)
+    order, parents = triple_bfs_with_parents(a, a1, a2)
 
     if kind in (DecompositionKind.AI, DecompositionKind.ASB):
         for triple in order:
             i, j, k = triple
             if (i in a.accepting) != (j in a1.accepting and k in a2.accepting):
-                word = _word_to(parents, triple, a.alphabet)
+                word = word_by_parents(parents, triple, a.alphabet)
                 return Refusal(
                     f"languages differ on word {''.join(word) or '(empty)'!r}", word
                 )

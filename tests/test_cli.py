@@ -12,11 +12,16 @@ from dfadecomp import (
     gen_a4b4_triple,
     gen_example31,
     gen_grid,
+    gen_lkl,
+    parallel_connection,
     parse_dfa,
     parse_dfas,
     print_dfa,
+    trim,
 )
 from dfadecomp.cli import _FAMILIES, main
+
+import helpers
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -480,3 +485,28 @@ class TestGoldenOutput:
         code, out, _ = run_cli(capsys, argv)
         assert code == 1
         assert out == "ai: refused: languages differ on word 'abb'\n"
+
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [
+            ("ai", "languages differ on word 'aaaaaaaaaaaaaaaaaaaaaaaa'"),
+            ("asb", "languages differ on word 'aaaaaaaaaaaaaaaaaaaaaaaa'"),
+            ("sb", "state is reached through two distinct pairs; "
+                   "the embedding cannot be injective"),
+        ],
+    )
+    def test_verify_refusal_word_deep_in_the_product(self, capsys, tmp_path, kind, reason):
+        # A counts a's mod 6 and b's mod 12; A1 also rejects lengths 4 mod 5,
+        # so the first word of L(A) it loses is a^24, 24 levels into the search.
+        factors = {
+            "a": trim(parallel_connection(gen_lkl(2, 3), gen_lkl(3, 4))),
+            "a1": parallel_connection(gen_lkl(2, 3), helpers.length_counter(5, range(4), "len5")),
+            "a2": parallel_connection(gen_lkl(3, 4), helpers.length_counter(7, range(7), "len7")),
+        }
+        paths = []
+        for key, dfa in factors.items():
+            paths.append(tmp_path / f"{key}.dfa")
+            paths[-1].write_text(print_dfa(dfa))
+        code, out, _ = run_cli(capsys, ["verify", "--kind", kind, *map(str, paths)])
+        assert code == 1
+        assert out == f"{kind}: refused: {reason}\n"

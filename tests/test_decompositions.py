@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,21 @@ class TestVerify:
                     entry.a2.table[entry.a2.state_index(p2)][entry.a2.symbol_index(sym)]
                 ]
                 assert alpha[succ] == (t1, t2)
+
+    def test_sb_search_holds_no_parents(self):
+        # 15120 reachable triples.  The search that kept a BFS parent per
+        # triple peaked at 3.78 MB here; the seen set alone at about 2.2 MB.
+        a = parallel_connection(gen_lkl(3, 4), gen_lkl(4, 5))
+        a1 = parallel_connection(gen_lkl(3, 4), helpers.length_counter(7, range(7), "len7"))
+        a2 = parallel_connection(gen_lkl(4, 5), helpers.length_counter(9, range(9), "len9"))
+        tracemalloc.start()
+        try:
+            result = verify("sb", a, a1, a2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.reason.startswith("state is reached through two distinct pairs")
+        assert peak < 3_000_000
 
     def test_unreachable_states_rejected_for_state_kinds(self):
         dead = Dfa("d", ("p", "q"), ("a",), ((0,), (1,)), 0, frozenset())

@@ -1,12 +1,15 @@
 """Fast paths against their oracles on seeded random automata: the index
 lattice, its join steps, its pair-mask keys, the emission conditions,
-redundancy and distributivity against brute force, and ``verify`` and
-``minimize`` against their earlier forms in helpers."""
+redundancy and distributivity against brute force, and ``verify``,
+``minimize`` and the product search against their earlier forms in helpers."""
 
+import dataclasses
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfadecomp import (
     Decomposition,
@@ -31,7 +34,7 @@ from dfadecomp import (
     trim,
     verify,
 )
-from dfadecomp.automata import reachable_indexes
+from dfadecomp.automata import _triple_bfs, reachable_indexes
 from dfadecomp.decompositions import _emission_condition
 
 import helpers
@@ -191,6 +194,29 @@ def _verify_outcome(verifier, kind, a, a1, a2):
     assert isinstance(r, Decomposition) and (r.a1, r.a2) == (a1, a2)
     w = r.witness
     return "decomposition", r.kind, list(w.items()) if isinstance(w, dict) else w
+
+
+@st.composite
+def _drawn_triples(draw):
+    """An automaton and two factors of 1-5 states, unreachable states allowed,
+    each factor over its own drawn order of the alphabet {a, b}."""
+    a = draw(helpers.dfas())
+    a1, a2 = (
+        dataclasses.replace(draw(helpers.dfas()), alphabet=tuple(draw(st.permutations("ab"))))
+        for _ in range(2)
+    )
+    return a, a1, a2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_drawn_triples())
+def test_product_search_matches_the_parent_search(triple):
+    order, word_to = _triple_bfs(*triple)
+    ref_order, parents = helpers.triple_bfs_with_parents(*triple)
+    assert order == ref_order
+    alphabet = triple[0].alphabet
+    for t in order:
+        assert word_to(t) == helpers.word_by_parents(parents, t, alphabet), t
 
 
 def test_verify_matches_the_pair_set_form():
