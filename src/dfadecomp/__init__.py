@@ -14,7 +14,6 @@ from .automata import (
     canonical_form,
     equivalent,
     isomorphic,
-    minimize,
     parallel_connection,
     reachable_triples,
     run,
@@ -64,6 +63,7 @@ from .partitions import (
     leq,
     meet,
     min_sp_merging,
+    minimize,
     quotient,
     separates_finals,
     sp_lattice,

@@ -7,6 +7,7 @@ that searches over many small automata stay cheap.
 ``_triple_bfs`` is the package's one product search: equivalence, reachable
 configurations and every decomposition check run A, A1 and A2 in parallel
 through it.  It keeps no BFS parents: a reported word comes from a second search.
+This bottom layer imports nothing above it: ``minimize`` is in ``partitions``.
 """
 
 from __future__ import annotations
@@ -190,38 +191,6 @@ def trim(dfa: Dfa) -> Dfa:
         initial=remap[dfa.initial],
         accepting=frozenset(remap[i] for i in dfa.accepting if i in remap),
     )
-
-
-def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
-    """Minimal DFA for the same language, plus the merging map.
-
-    Unreachable states are removed first; the result is then the quotient
-    by the Moore partition, the coarsest substitution-property partition
-    that refines the accepting/rejecting split, found by refinement rounds.
-    The returned map sends every reachable state of the input onto the state
-    of the result that simulates it, so ``f(run(dfa, w)) == run(result, w)``
-    for every word ``w``.
-
-    Merged states are named by joining the member names with ``+`` in the
-    original state order.
-    """
-    # partitions imports Dfa from this module, so import from it at call time.
-    from .partitions import Partition, _leaders, quotient
-
-    base = trim(dfa)
-    block = _leaders(i in base.accepting for i in range(base.n))
-    while True:
-        # Each key starts with the state's own block, so a round only splits
-        # blocks, and an unchanged vector is the fixpoint.
-        refined = _leaders((b, *map(block.__getitem__, row)) for b, row in zip(block, base.table))
-        if refined == block:
-            break
-        block = refined
-    pi = Partition._from_leaders(block)
-    accepting = {pi.block_index[i] for i in base.accepting}
-    result = quotient(base, pi, accepting, name=dfa.name + "_min")
-    mapping: StateMap = {q: result.states[b] for q, b in zip(base.states, pi.block_index)}
-    return result, mapping
 
 
 def _require_same_alphabet(a: Dfa, b: Dfa) -> list[int]:

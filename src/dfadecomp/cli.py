@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .automata import Dfa, minimize
+from .automata import Dfa
 from .decompositions import (
     DecompositionKind,
     decompose_ai_sufficient,
@@ -39,7 +39,7 @@ from .oracle import (
     certify_undecomposable,
     estimate_search_space,
 )
-from .partitions import sp_lattice
+from .partitions import minimize, sp_lattice
 from .textio import export_dot, format_partition, parse_dfa, parse_partition, print_dfa
 
 _WITNESS_KIND = {

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .automata import Dfa, _triple_bfs, minimize, reachable_indexes
+from .automata import Dfa, _triple_bfs, reachable_indexes
 from .errors import InputError
 from .partitions import (
     Partition,
@@ -31,6 +31,7 @@ from .partitions import (
     is_distributive,
     join,
     meet,
+    minimize,
     quotient,
     sp_lattice,
 )

@@ -11,9 +11,9 @@ import random
 import string
 from typing import Sequence
 
-from .automata import Dfa, minimize, trim
+from .automata import Dfa, trim
 from .errors import InputError
-from .partitions import Partition
+from .partitions import Partition, minimize
 
 
 def gen_ln(n: int) -> Dfa:

@@ -15,10 +15,10 @@ import functools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .automata import Dfa, _triple_bfs, minimize
+from .automata import Dfa, _triple_bfs
 from .decompositions import Decomposition, DecompositionKind, _as_kind, _require_reachable, verify
 from .errors import BudgetError, InputError
-from .partitions import Partition, is_sp
+from .partitions import Partition, is_sp, minimize
 
 # Direct partition enumeration is capped by the Bell numbers; B(9) = 21147.
 _BRUTE_STATE_LIMIT = 9
@@ -133,13 +133,14 @@ def _choices(k: int, s: int, canonical_only: bool, p: int, seen: int) -> tuple[i
     Under ``canonical_only`` the breadth-first search from state 0 must
     discover the states in index order: row ``p // s`` is filled only once
     its state is seen, an entry names a seen state or the next one, and
-    every state is seen in the end.
+    every state is seen in the end.  A prefix of length q naming t states
+    can be completed, each further entry naming the next state, iff t == k
+    when q == k*s and q // s < t before that.
     """
     if not canonical_only:
         return tuple(range(k))
-    return tuple(
-        v for v in range(min(seen + 1, k)) if _table_count(k, s, True, p + 1, max(seen, v + 1))
-    )
+    need = k if p + 1 == k * s else (p + 1) // s + 1
+    return tuple(v for v in range(min(seen + 1, k)) if max(seen, v + 1) >= need)
 
 
 @functools.lru_cache(maxsize=None)
@@ -147,8 +148,6 @@ def _table_count(k: int, s: int, canonical_only: bool, p: int = 0, seen: int = 1
     """Number of tables ``_table_walk`` yields below a prefix of length p."""
     if p == k * s:
         return int(not canonical_only or seen == k)
-    if canonical_only and p // s >= seen:
-        return 0
     return sum(
         _table_count(k, s, canonical_only, p + 1, max(seen, v + 1))
         for v in _choices(k, s, canonical_only, p, seen)

@@ -8,7 +8,7 @@ vectors, which name each state's block by its least state: the form that a
 union-find hanging larger roots under smaller ones resolves to, so they never
 renumber.  :class:`Partition` objects are built only for results.  All
 functions here work on state indexes; name formatting lives in
-:mod:`dfadecomp.textio`.
+:mod:`dfadecomp.textio`.  ``minimize`` is the Moore partition's ``quotient``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
-from .automata import Dfa
+from .automata import Dfa, StateMap, trim
 from .errors import InputError
 
 # A leader vector: state i lies in the block whose least state is
@@ -393,3 +393,32 @@ def quotient(
         initial=pi.block_index[dfa.initial],
         accepting=frozenset(acc),
     )
+
+
+def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
+    """Minimal DFA for the same language, plus the merging map.
+
+    Unreachable states are removed first; the result is then the quotient
+    by the Moore partition, the coarsest substitution-property partition
+    that refines the accepting/rejecting split, found by refinement rounds.
+    The returned map sends every reachable state of the input onto the state
+    of the result that simulates it, so ``f(run(dfa, w)) == run(result, w)``
+    for every word ``w``.
+
+    Merged states are named by joining the member names with ``+`` in the
+    original state order.
+    """
+    base = trim(dfa)
+    block = _leaders(i in base.accepting for i in range(base.n))
+    while True:
+        # Each key starts with the state's own block, so a round only splits
+        # blocks, and an unchanged vector is the fixpoint.
+        refined = _leaders((b, *map(block.__getitem__, row)) for b, row in zip(block, base.table))
+        if refined == block:
+            break
+        block = refined
+    pi = Partition._from_leaders(block)
+    accepting = {pi.block_index[i] for i in base.accepting}
+    result = quotient(base, pi, accepting, name=dfa.name + "_min")
+    mapping: StateMap = {q: result.states[b] for q, b in zip(base.states, pi.block_index)}
+    return result, mapping

@@ -3,7 +3,8 @@ literals, and Graphviz DOT export.
 
 The document format is deliberately strict: every (state, symbol) pair must
 appear exactly once, so a partial table is a parse error rather than a
-silently completed automaton.
+silently completed automaton.  The reader checks each line once and fills the
+transition table as it goes.
 """
 
 from __future__ import annotations
@@ -46,18 +47,18 @@ def _parse_document(lines: list[tuple[int, list[str]]], start: int) -> tuple[Dfa
     lineno, tokens = need(pos, "alphabet")
     if len(tokens) < 2:
         raise ParseError("'alphabet' line needs at least one symbol", lineno)
-    alphabet = tokens[1:]
-    symbol_set = set(alphabet)
-    if len(symbol_set) != len(alphabet):
+    alphabet = tuple(tokens[1:])
+    column = {a: c for c, a in enumerate(alphabet)}
+    if len(column) != len(alphabet):
         raise ParseError("duplicate symbol in alphabet", lineno)
     pos += 1
 
     lineno, tokens = need(pos, "states")
     if len(tokens) < 2:
         raise ParseError("'states' line needs at least one state", lineno)
-    states = tokens[1:]
-    state_set = set(states)
-    if len(state_set) != len(states):
+    states = tuple(tokens[1:])
+    index = {q: i for i, q in enumerate(states)}
+    if len(index) != len(states):
         raise ParseError("duplicate state name", lineno)
     pos += 1
 
@@ -65,18 +66,18 @@ def _parse_document(lines: list[tuple[int, list[str]]], start: int) -> tuple[Dfa
     if len(tokens) != 2:
         raise ParseError("'initial' line takes exactly one state", lineno)
     initial = tokens[1]
-    if initial not in state_set:
+    if initial not in index:
         raise ParseError(f"initial state {initial!r} is not a listed state", lineno)
     pos += 1
 
     lineno, tokens = need(pos, "accepting")
     accepting = tokens[1:]
     for q in accepting:
-        if q not in state_set:
+        if q not in index:
             raise ParseError(f"accepting state {q!r} is not a listed state", lineno)
     pos += 1
 
-    delta: dict[tuple[str, str], str] = {}
+    rows = [[-1] * len(alphabet) for _ in states]
     end_line = None
     while pos < len(lines):
         lineno, tokens = lines[pos]
@@ -91,30 +92,28 @@ def _parse_document(lines: list[tuple[int, list[str]]], start: int) -> tuple[Dfa
         if len(tokens) != 4:
             raise ParseError("'trans' line takes: state symbol state", lineno)
         _, src, sym, dst = tokens
-        if src not in state_set:
+        if src not in index:
             raise ParseError(f"transition from unknown state {src!r}", lineno)
-        if sym not in symbol_set:
+        if sym not in column:
             raise ParseError(f"transition on unknown symbol {sym!r}", lineno)
-        if dst not in state_set:
+        if dst not in index:
             raise ParseError(f"transition to unknown state {dst!r}", lineno)
-        if (src, sym) in delta:
+        row, a = rows[index[src]], column[sym]
+        if row[a] != -1:
             raise ParseError(f"duplicate transition for ({src!r}, {sym!r})", lineno)
-        delta[(src, sym)] = dst
+        row[a] = index[dst]
         pos += 1
     else:
         raise ParseError("missing 'end' line", lines[-1][0])
 
-    for q in states:
-        for a in alphabet:
-            if (q, a) not in delta:
-                raise ParseError(
-                    f"automaton is not complete: missing transition for ({q!r}, {a!r})",
-                    end_line,
-                )
-    return (
-        Dfa.build(name, states, alphabet, delta, initial, accepting),
-        pos,
-    )
+    for q, row in zip(states, rows):
+        if -1 in row:
+            a = alphabet[row.index(-1)]
+            raise ParseError(
+                f"automaton is not complete: missing transition for ({q!r}, {a!r})", end_line
+            )
+    accepting_set = frozenset(map(index.__getitem__, accepting))
+    return Dfa(name, states, alphabet, tuple(map(tuple, rows)), index[initial], accepting_set), pos
 
 
 def parse_dfa(text: str) -> Dfa:
@@ -148,7 +147,7 @@ def print_dfa(dfa: Dfa) -> str:
         "alphabet " + " ".join(dfa.alphabet),
         "states " + " ".join(dfa.states),
         f"initial {dfa.initial_state}",
-        ("accepting " + " ".join(q for q in dfa.states if dfa.state_index(q) in dfa.accepting)).rstrip(),
+        ("accepting " + " ".join(q for i, q in enumerate(dfa.states) if i in dfa.accepting)).rstrip(),
     ]
     for i, q in enumerate(dfa.states):
         for a, sym in enumerate(dfa.alphabet):

@@ -21,6 +21,7 @@ from dfadecomp import (
     Dfa,
     ExhaustionCertificate,
     InputError,
+    ParseError,
     Partition,
     SearchBudget,
     SpLattice,
@@ -35,6 +36,7 @@ from dfadecomp.automata import _require_same_alphabet, reachable_indexes, trim
 from dfadecomp.decompositions import Refusal, _as_kind, _require_reachable
 from dfadecomp.oracle import FEASIBILITY_BOUND
 from dfadecomp.partitions import quotient
+from dfadecomp.textio import _token_lines
 
 Block = frozenset[int]
 FsPartition = frozenset[Block]
@@ -452,3 +454,102 @@ def minimize_by_signatures(dfa: Dfa):
     result = quotient(base, pi, accepting, name=dfa.name + "_min")
     mapping = {base.states[i]: result.states[pi.block_index[i]] for i in range(n)}
     return result, mapping
+
+
+def _document_by_build(lines, start: int):
+    """One document read the earlier way: names collected into a ``delta``
+    dict, totality checked on that dict, and the table built by ``Dfa.build``."""
+
+    def need(pos, keyword):
+        if pos >= len(lines):
+            last = lines[-1][0] if lines else None
+            raise ParseError(f"unexpected end of input, expected '{keyword}' line", last)
+        lineno, tokens = lines[pos]
+        if tokens[0] != keyword:
+            raise ParseError(f"expected '{keyword}' line, found {tokens[0]!r}", lineno)
+        return lineno, tokens
+
+    pos = start
+    lineno, tokens = need(pos, "dfa")
+    if len(tokens) != 2:
+        raise ParseError("'dfa' line takes exactly one name", lineno)
+    name = tokens[1]
+    pos += 1
+    lineno, tokens = need(pos, "alphabet")
+    if len(tokens) < 2:
+        raise ParseError("'alphabet' line needs at least one symbol", lineno)
+    alphabet = tokens[1:]
+    if len(set(alphabet)) != len(alphabet):
+        raise ParseError("duplicate symbol in alphabet", lineno)
+    pos += 1
+    lineno, tokens = need(pos, "states")
+    if len(tokens) < 2:
+        raise ParseError("'states' line needs at least one state", lineno)
+    states = tokens[1:]
+    if len(set(states)) != len(states):
+        raise ParseError("duplicate state name", lineno)
+    pos += 1
+    lineno, tokens = need(pos, "initial")
+    if len(tokens) != 2:
+        raise ParseError("'initial' line takes exactly one state", lineno)
+    initial = tokens[1]
+    if initial not in states:
+        raise ParseError(f"initial state {initial!r} is not a listed state", lineno)
+    pos += 1
+    lineno, tokens = need(pos, "accepting")
+    accepting = tokens[1:]
+    for q in accepting:
+        if q not in states:
+            raise ParseError(f"accepting state {q!r} is not a listed state", lineno)
+    pos += 1
+    delta = {}
+    end_line = None
+    while pos < len(lines):
+        lineno, tokens = lines[pos]
+        if tokens[0] == "end":
+            if len(tokens) != 1:
+                raise ParseError("'end' line takes no arguments", lineno)
+            end_line = lineno
+            pos += 1
+            break
+        if tokens[0] != "trans":
+            raise ParseError(f"expected 'trans' or 'end' line, found {tokens[0]!r}", lineno)
+        if len(tokens) != 4:
+            raise ParseError("'trans' line takes: state symbol state", lineno)
+        _, src, sym, dst = tokens
+        if src not in states:
+            raise ParseError(f"transition from unknown state {src!r}", lineno)
+        if sym not in alphabet:
+            raise ParseError(f"transition on unknown symbol {sym!r}", lineno)
+        if dst not in states:
+            raise ParseError(f"transition to unknown state {dst!r}", lineno)
+        if (src, sym) in delta:
+            raise ParseError(f"duplicate transition for ({src!r}, {sym!r})", lineno)
+        delta[(src, sym)] = dst
+        pos += 1
+    else:
+        raise ParseError("missing 'end' line", lines[-1][0])
+    for q in states:
+        for a in alphabet:
+            if (q, a) not in delta:
+                raise ParseError(
+                    f"automaton is not complete: missing transition for ({q!r}, {a!r})",
+                    end_line,
+                )
+    return Dfa.build(name, states, alphabet, delta, initial, accepting), pos
+
+
+def parse_by_build(text: str, many: bool = False):
+    """``parse_dfa`` (or ``parse_dfas`` with ``many``) through ``Dfa.build``,
+    as the reader worked before it filled the table itself."""
+    lines = _token_lines(text)
+    if not lines:
+        raise ParseError("empty input")
+    out = []
+    pos = 0
+    while pos < len(lines):
+        dfa, pos = _document_by_build(lines, pos)
+        out.append(dfa)
+        if not many and pos != len(lines):
+            raise ParseError("trailing content after 'end'", lines[pos][0])
+    return out if many else out[0]

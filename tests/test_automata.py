@@ -313,3 +313,8 @@ class TestTrimCanonical:
         relabel = Dfa("y", ("w", "x", "y", "z"), a.alphabet, a.table, a.initial, a.accepting)
         assert isomorphic(a, relabel)
         assert not isomorphic(a, gen_lkl(2, 3))
+
+    def test_isomorphic_needs_one_alphabet(self):
+        a = gen_ln(2)
+        renamed = Dfa("y", a.states, ("b",), a.table, a.initial, a.accepting)
+        assert not isomorphic(a, renamed)

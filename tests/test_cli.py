@@ -162,6 +162,26 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, ["no-such-command"])
         assert code == 2
 
+    def test_no_subcommand_is_exit_two(self, capsys):
+        code, out, err = run_cli(capsys, [])
+        assert code == 2
+        assert out == "" and err.startswith("usage: ")
+
+    def test_unreadable_file_is_exit_two(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.dfa")
+        code, out, err = run_cli(capsys, ["minimize", missing])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {missing!r}: ")
+
+    def test_oracle_cap_below_one_is_exit_two(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys,
+            ["oracle", "--kind", "si", "--max1", "0", "--max2", "1"],
+            stdin=print_dfa(gen_grid(2, 2)),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out, err) == (2, "", "error: budget caps must be at least 1\n")
+
     def test_malformed_input_is_exit_two(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys, ["minimize"], stdin="dfa x\nbogus\n", monkeypatch=monkeypatch

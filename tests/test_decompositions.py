@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 
 from dfadecomp import (
     Decomposition,
@@ -23,6 +24,7 @@ from dfadecomp import (
     gen_lkl,
     gen_ln,
     gen_sb_not_asb,
+    is_distributive,
     is_redundant,
     leq,
     meet,
@@ -391,6 +393,23 @@ class TestRedundancy:
             with pytest.raises(InputError, match="lattice was built for another automaton"):
                 is_redundant(a, entry.decomposition, lattice=other)
 
+    def test_kind_without_a_lattice_construction_rejected(self):
+        a = gen_grid(2, 3)
+        d = dataclasses.replace(decompose_sb(a).entries[0].decomposition, kind=DecompositionKind.SI)
+        with pytest.raises(InputError) as exc:
+            is_redundant(a, d)
+        assert str(exc.value) == "no lattice-based construction for kind 'si'"
+
+    def test_sources_outside_the_lattice_rejected(self):
+        a = gen_grid(2, 3)
+        d = decompose_sb(a).entries[0].decomposition
+        stray = Partition([[0, 5], [1], [2], [3], [4]])
+        assert stray not in sp_lattice(a)
+        d = dataclasses.replace(d, source_partitions=(stray, d.source_partitions[1]))
+        with pytest.raises(InputError) as exc:
+            is_redundant(a, d)
+        assert str(exc.value) == "source partitions are not elements of the automaton's lattice"
+
 
 class TestProjectToMinimal:
     def test_distributive_non_minimal_case(self):
@@ -435,6 +454,25 @@ class TestProjectToMinimal:
         )
         with pytest.raises(InputError):
             project_to_minimal(dead, fake)
+
+    def test_weak_kind_rejected(self):
+        a = gen_lkl(2, 3)
+        d = decompose_wai_sufficient(a).entries[0].decomposition
+        with pytest.raises(InputError) as exc:
+            project_to_minimal(a, d)
+        assert str(exc.value) == "projection is defined for state-behavior decompositions"
+
+    @settings(deadline=None)
+    @given(helpers.dfas(), helpers.dfas())
+    def test_sb_entries_project_onto_the_minimal_automaton(self, b1, b2):
+        a = trim(parallel_connection(b1, b2))
+        assume(is_distributive(sp_lattice(a)))
+        m, _ = minimize(a)
+        for e in decompose_sb(a).entries:
+            d = e.decomposition
+            projected = project_to_minimal(a, d)
+            assert verify("sb", m, projected.a1, projected.a2)
+            assert projected.a1.n <= d.a1.n and projected.a2.n <= d.a2.n
 
 
 class TestTransferToMinimal:

@@ -1,8 +1,10 @@
 import itertools
+import random
 
 import pytest
 
 from dfadecomp import (
+    Dfa,
     InputError,
     accepts,
     decompose_asb,
@@ -20,6 +22,7 @@ from dfadecomp import (
     meet,
     minimize,
     Partition,
+    random_dfa,
     run,
     separates_finals,
     verify,
@@ -126,6 +129,24 @@ class TestKExtension:
     def test_extension_of_minimal_is_minimal(self):
         ext = gen_k_extension(gen_grid(2, 2), 1)
         assert helpers.is_minimal(ext)
+
+    def test_length_zero_rejected(self):
+        with pytest.raises(InputError) as exc:
+            gen_k_extension(gen_grid(2, 2), 0)
+        assert str(exc.value) == "extension length must be at least 1"
+
+    def test_no_fresh_symbol_left(self):
+        full = Dfa("full", ("p",), tuple("abcdefghijklmnopqrstuvwxyz"), ((0,) * 26,), 0, frozenset())
+        with pytest.raises(InputError) as exc:
+            gen_k_extension(full, 1)
+        assert str(exc.value) == "no available fresh symbol"
+
+
+class TestRandomDfa:
+    def test_zero_states_rejected(self):
+        with pytest.raises(InputError) as exc:
+            random_dfa(random.Random(1), 0)
+        assert str(exc.value) == "need at least one state"
 
 
 class TestExample31:

@@ -28,6 +28,14 @@ from dfadecomp.oracle import all_partitions, candidate_automata
 import helpers
 
 
+class TestSearchBudget:
+    @pytest.mark.parametrize("caps", [(0, 1), (1, 0)])
+    def test_caps_below_one_rejected(self, caps):
+        with pytest.raises(InputError) as exc:
+            SearchBudget(*caps)
+        assert str(exc.value) == "budget caps must be at least 1"
+
+
 class TestBruteSpPartitions:
     def test_partition_enumeration_is_complete(self):
         for n in range(6):

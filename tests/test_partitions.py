@@ -18,6 +18,7 @@ from dfadecomp import (
     leq,
     meet,
     min_sp_merging,
+    quotient,
     random_dfa,
     separates_finals,
     sp_lattice,
@@ -299,6 +300,23 @@ class TestMeetClosureSelfCheck:
         assert len(lattice.elements) == 14
         assert Partition([[0, 1], [2], [3]]) not in lattice
         assert {Partition([[0, 1, 2], [3]]), Partition([[0, 1, 3], [2]])} <= set(lattice.elements)
+
+
+class TestRaises:
+    def test_repr_lists_the_blocks(self):
+        assert repr(Partition([[2, 0], [1]])) == "Partition({0,2|1})"
+
+    def test_quotient_accepting_block_out_of_range(self):
+        a = gen_grid(2, 2)
+        with pytest.raises(InputError) as exc:
+            quotient(a, Partition.singletons(a.n), [a.n])
+        assert str(exc.value) == f"accepting block index {a.n} out of range"
+
+    def test_separates_finals_out_of_range(self):
+        zero = Partition.singletons(2)
+        with pytest.raises(InputError) as exc:
+            separates_finals(zero, zero, [2])
+        assert str(exc.value) == "final states are not a subset of the partitioned set"
 
 
 class TestSeparatesFinals:

@@ -229,7 +229,38 @@ def _raises_only_input_errors(call, *args):
         pass
 
 
+@st.composite
+def gapped_documents(draw):
+    """print_dfa output with some transition lines dropped and some repeated,
+    the repeat naming a drawn target: the totality and duplicate checks."""
+    dfa = draw(helpers.dfas())
+    lines = []
+    for line in print_dfa(dfa).splitlines():
+        edit = draw(st.sampled_from(["keep", "keep", "drop", "repeat"]))
+        if not line.startswith("trans ") or edit == "keep":
+            lines.append(line)
+        elif edit == "repeat":
+            lines += [line, line.rsplit(" ", 1)[0] + " " + draw(st.sampled_from(dfa.states))]
+    return "\n".join(lines)
+
+
+def _outcome(call, *args):
+    """The value returned, or the type, message and line of the InputError raised."""
+    try:
+        return call(*args)
+    except InputError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
 class TestReaderFuzz:
+    @given(st.one_of(documents(), gapped_documents()))
+    def test_parse_dfa_matches_the_build_reader(self, text):
+        assert _outcome(parse_dfa, text) == _outcome(helpers.parse_by_build, text)
+
+    @given(st.one_of(documents(), gapped_documents()))
+    def test_parse_dfas_matches_the_build_reader(self, text):
+        assert _outcome(parse_dfas, text) == _outcome(helpers.parse_by_build, text, True)
+
     @given(documents())
     def test_parse_dfa(self, text):
         _raises_only_input_errors(parse_dfa, text)
