@@ -252,7 +252,8 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
         return quotient(a, pi, picks, name=f"{a.name}_q{role}")
 
     # Every condition is symmetric, so scanning the elements coarsest first
-    # yields each pair in its reported orientation.
+    # yields each pair in its reported orientation, and inside each size pair
+    # in block order, which the stable sort by sizes keeps.
     factors = sorted(
         (k for k, pi in enumerate(elements) if not pi.is_trivial()),
         key=lambda k: (elements[k].num_blocks, elements[k].blocks),
@@ -271,14 +272,7 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
                 redundant=is_redundant(a, d, lattice=lattice),
             )
         )
-    entries.sort(
-        key=lambda e: (
-            e.decomposition.a1.n,
-            e.decomposition.a2.n,
-            e.decomposition.source_partitions[0].blocks,
-            e.decomposition.source_partitions[1].blocks,
-        )
-    )
+    entries.sort(key=lambda e: (e.decomposition.a1.n, e.decomposition.a2.n))
     return DecompositionReport(a.fingerprint(), kind, tuple(entries))
 
 

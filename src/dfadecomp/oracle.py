@@ -161,8 +161,8 @@ def _table_walk(
     ``itertools.product(range(k), repeat=k * s)`` order.
 
     A ``search``, if given, hears of each entry as it is set (``assign``
-    returning False cuts the subtree below it) and as it is taken back
-    (``retract``).  The yielded list is reused; copy it to keep it.
+    returning False cuts the subtree below it), and every ``assign`` is
+    followed by one ``retract``.  The yielded list is reused; copy it to keep it.
     """
     flat = [0] * (k * s)
 
@@ -172,12 +172,10 @@ def _table_walk(
             return
         for v in _choices(k, s, canonical_only, p, seen):
             flat[p] = v
-            if search is None:
+            if search is None or search.assign(p, v):
                 yield from extend(p + 1, max(seen, v + 1))
-                continue
-            if search.assign(p, v):
-                yield from extend(p + 1, max(seen, v + 1))
-            search.retract()
+            if search is not None:
+                search.retract()
 
     return extend(0, 1) if _table_count(k, s, canonical_only) else iter(())
 
@@ -219,8 +217,8 @@ class _PairSearch:
     ``wai`` is ``si`` on the minimal automaton, and under ``ai`` a1 accepts
     the forced set, which holds every j paired with an accepting state of A,
     so no root dies before the first entry.  Setting an entry only adds
-    triples, so a dead root stays dead below that entry; ``retract`` undoes
-    the last entry through a trail.
+    triples, so a dead root stays dead below that entry.  ``assign`` pushes
+    a copy of the top state closed over the new entry; ``retract`` pops it.
     """
 
     def __init__(self, ai: bool, a: Dfa, a1: Dfa, l: int, roots: range):
@@ -232,46 +230,32 @@ class _PairSearch:
         self.s = len(a.alphabet)
         self.roots = roots
         self.flat = [0] * (l * self.s)
-        self.reached: list[list[tuple[int, int, int]]] = [[] for _ in range(l)]
-        self.seen: set[tuple[int, int, int, int]] = set()
-        self.label: dict[tuple, object] = {}  # the conflict's key -> first value
-        self.trail: list[tuple[tuple[int, int, int, int], tuple | None]] = []
-        self.marks: list[int] = []
-        self.dead: dict[int, int] = {}  # root -> depth of its conflict
         self.nodes = 0
-        self._close([(r, a.initial, a1.initial, r) for r in roots], -1)
+        # seen triples, conflict key -> first value, (r, i, j) per k, dead roots
+        self.states = [(set(), {}, [[] for _ in range(l)], set())]
+        self._close(self.states[0], [(r, a.initial, a1.initial, r) for r in roots], -1)
 
     def assign(self, p: int, v: int) -> bool:
         self.nodes += 1
         self.flat[p] = v
-        self.marks.append(len(self.trail))
+        seen, label, reached, dead = self.states[-1]
+        state = (set(seen), dict(label), [list(x) for x in reached], set(dead))
+        self.states.append(state)
         k, u = divmod(p, self.s)
-        rows, rows1, dead = self.rows, self.rows1, self.dead
+        rows, rows1 = self.rows, self.rows1
         self._close(
-            [(r, rows[i][u], rows1[j][u], v) for r, i, j in self.reached[k] if r not in dead],
-            p,
+            state, [(r, rows[i][u], rows1[j][u], v) for r, i, j in reached[k] if r not in dead], p
         )
-        return len(dead) < len(self.roots)
+        return len(state[3]) < len(self.roots)
 
     def retract(self) -> None:
-        depth = len(self.marks)
-        mark = self.marks.pop()
-        trail, seen, reached, label = self.trail, self.seen, self.reached, self.label
-        while len(trail) > mark:
-            triple, key = trail.pop()
-            seen.discard(triple)
-            reached[triple[3]].pop()
-            if key is not None:
-                del label[key]
-        for r in [r for r, d in self.dead.items() if d == depth]:
-            del self.dead[r]
+        self.states.pop()
 
-    def _close(self, work: list[tuple[int, int, int, int]], p: int) -> None:
-        """Add the triples in ``work`` and all they reach through entries <= p."""
+    def _close(self, state, work: list[tuple[int, int, int, int]], p: int) -> None:
+        """Add to ``state`` the triples in ``work`` and all they reach by entries <= p."""
         rows, rows1, flat, s = self.rows, self.rows1, self.flat, self.s
-        final, final1, label, seen, dead = self.final, self.final1, self.label, self.seen, self.dead
-        reached, trail, ai = self.reached, self.trail, self.ai
-        depth = len(self.marks)
+        final, final1, ai = self.final, self.final1, self.ai
+        seen, label, reached, dead = state
         while work:
             triple = work.pop()
             r, i, j, k = triple
@@ -283,18 +267,11 @@ class _PairSearch:
                 key, value = (r, k), final[i]
             else:
                 key = None
-            if key is not None:
-                first = label.get(key)
-                if first is None:
-                    label[key] = value
-                elif first != value:
-                    dead[r] = depth
-                    continue
-                else:
-                    key = None  # labelled before: nothing to take back
+            if key is not None and label.setdefault(key, value) != value:
+                dead.add(r)
+                continue
             seen.add(triple)
             reached[k].append((r, i, j))
-            trail.append((triple, key))
             base = k * s
             for u in range(min(s, p - base + 1)):
                 work.append((r, rows[i][u], rows1[j][u], flat[base + u]))
@@ -302,10 +279,11 @@ class _PairSearch:
     def solution(self) -> tuple[int, frozenset[int]]:
         """The lowest live initial state and, for ai, the least accepting set
         its run allows: the k's that meet an accepting j and accepting i."""
-        r = min(set(self.roots) - self.dead.keys())
+        _, label, _, dead = self.states[-1]
+        r = min(set(self.roots) - dead)
         if not self.ai:
             return r, frozenset()
-        return r, frozenset(k for (root, k), value in self.label.items() if root == r and value)
+        return r, frozenset(k for (root, k), value in label.items() if root == r and value)
 
 
 def _forced_accepting(a: Dfa, a1: Dfa) -> Dfa:

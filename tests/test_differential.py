@@ -1,4 +1,4 @@
-"""Fast paths against their oracles on seeded random automata: the index
+"""Fast paths against their oracles on seeded and drawn random automata: the index
 lattice, its join steps, its pair-mask keys, the emission conditions,
 redundancy and distributivity against brute force, and ``verify``,
 ``minimize`` and the product search against their earlier forms in helpers."""
@@ -108,6 +108,23 @@ def test_index_lattice_matches_oracles(seed):
         assert is_distributive(lattice) == helpers.distributive_by_triples(lattice)
 
 
+@settings(max_examples=150, deadline=None)
+@given(helpers.dfas())
+def test_drawn_lattice_is_every_sp_partition(a):
+    a = trim(a)
+    assert set(sp_lattice(a).elements) == brute_sp_partitions(a)
+
+
+@settings(max_examples=150, deadline=None)
+@given(helpers.dfas())
+def test_drawn_redundancy_matches_the_scan(a):
+    a = trim(a)
+    lattice = sp_lattice(a)
+    for kind, decompose in DECOMPOSERS.items():
+        for e in decompose(a).entries:
+            assert e.redundant == helpers.redundant_by_scan(a, e.decomposition, lattice), kind
+
+
 def test_the_distributivity_comparison_sees_both_outcomes():
     outcomes = set()
     for seed in range(90):
@@ -150,6 +167,10 @@ def test_lattice_keys_match_partition_operations(seed):
         expected = [p for p in itertools.combinations_with_replacement(factors, 2) if scan(*p)]
         reported = [e.decomposition.source_partitions for e in decompose(a).entries]
         assert sorted(reported, key=by_blocks) == sorted(expected, key=by_blocks), kind
+        # Entries come by factor sizes, then by the blocks of both partitions.
+        assert reported == sorted(
+            reported, key=lambda p: (p[0].num_blocks, p[1].num_blocks) + by_blocks(p)
+        ), kind
     # The wai witness is every block pair whose cell holds only accepting states.
     for e in decompose_wai_sufficient(a).entries:
         d = e.decomposition

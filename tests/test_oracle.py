@@ -2,10 +2,13 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfadecomp import (
     BudgetError,
     Decomposition,
+    Dfa,
     ExhaustionCertificate,
     InputError,
     Partition,
@@ -21,9 +24,16 @@ from dfadecomp import (
     gen_ln,
     random_dfa,
     sp_lattice,
+    trim,
     verify,
 )
-from dfadecomp.oracle import all_partitions, candidate_automata
+from dfadecomp.oracle import (
+    _forced_accepting,
+    _PairSearch,
+    _table_walk,
+    all_partitions,
+    candidate_automata,
+)
 
 import helpers
 
@@ -240,3 +250,56 @@ def test_search_matches_the_enumerator(canonical_only):
     # wai runs as si on the minimal automaton; non-minimal inputs exercise that.
     assert ("wai", Decomposition, False) in outcomes
     assert ("wai", ExhaustionCertificate, False) in outcomes
+
+
+@st.composite
+def _search_cases(draw):
+    """A trimmed automaton of 1-5 states over 1-2 symbols, a canonical first
+    factor of 1-3 states (accepting its forced set under ai), a second
+    factor size l of 1-3, one root or l roots, and a pruning coin."""
+    alphabet = ("a", "b")[: draw(st.integers(1, 2))]
+    n = draw(st.integers(1, 5))
+    table = tuple(tuple(draw(st.integers(0, n - 1)) for _ in alphabet) for _ in range(n))
+    accepting = frozenset(i for i in range(n) if draw(st.booleans()))
+    a = trim(Dfa("h", tuple(f"q{i}" for i in range(n)), alphabet, table, 0, accepting))
+    ai = draw(st.booleans())
+    a1 = draw(st.sampled_from(list(candidate_automata(draw(st.integers(1, 3)), alphabet))))
+    if ai:
+        a1 = _forced_accepting(a, a1)
+    l = draw(st.integers(1, 3))
+    roots = range(draw(st.sampled_from((1, l))))
+    return ai, a, a1, l, roots, draw(st.randoms(use_true_random=False))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_cases())
+def test_search_state_after_each_entry_matches_a_fresh_search(case):
+    """Walked depth first, with retractions between siblings and random
+    prunes, the search answers as one that only ever set the current prefix."""
+    ai, a, a1, l, roots, rng = case
+    search = _PairSearch(ai, a, a1, l, roots)
+    prefix = []
+
+    def fresh() -> tuple[_PairSearch, bool]:
+        other = _PairSearch(ai, a, a1, l, roots)
+        return other, [other.assign(p, v) for p, v in enumerate(prefix)][-1]
+
+    class Checked:
+        depth = 0
+
+        def assign(self, p, v):
+            del prefix[p:]
+            prefix.append(v)
+            self.depth += 1
+            verdict = search.assign(p, v)
+            assert verdict == fresh()[1], prefix
+            return verdict and rng.random() < 0.8
+
+        def retract(self):
+            self.depth -= 1
+            search.retract()
+
+    checked = Checked()
+    for flat in _table_walk(l, len(a.alphabet), len(roots) == 1, checked):
+        assert search.solution() == fresh()[0].solution(), flat
+    assert checked.depth == 0
