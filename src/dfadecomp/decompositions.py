@@ -252,11 +252,11 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
         return quotient(a, pi, picks, name=f"{a.name}_q{role}")
 
     # Every condition is symmetric, so scanning the elements coarsest first
-    # yields each pair in its reported orientation, and inside each size pair
-    # in block order, which the stable sort by sizes keeps.
+    # yields each pair in its reported orientation, and inside each size in
+    # the lattice's block order, which the stable sort by sizes keeps.
     factors = sorted(
         (k for k, pi in enumerate(elements) if not pi.is_trivial()),
-        key=lambda k: (elements[k].num_blocks, elements[k].blocks),
+        key=lambda k: elements[k].num_blocks,
     )
     entries, pairs = [], {}
     for i, j in itertools.combinations_with_replacement(factors, 2):

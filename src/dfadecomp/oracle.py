@@ -78,7 +78,8 @@ class ExhaustionCertificate:
 
     ``candidates_examined`` is the size of the space covered, the candidate
     pairs within the effective caps; ``nodes_visited`` is the search's own
-    work, the partial second-automaton tables it set an entry of.
+    work, the partial second-automaton tables it set an entry of, summed
+    over one search per initial state the second automaton may take.
     """
 
     kind: DecompositionKind
@@ -210,80 +211,71 @@ def candidate_automata(
 class _PairSearch:
     """Triples (A, a1, a2) reachable through the a2 entries set so far.
 
-    ``a1`` is whole; ``a2`` has l states, and each of its candidate initial
-    states roots its own run.  A root dies at its first conflict: under
-    ``si`` one pair (j, k) reaches two states of A; under ``ai`` one k,
-    paired with accepting j's, meets accepting and rejecting states of A.
-    ``wai`` is ``si`` on the minimal automaton, and under ``ai`` a1 accepts
-    the forced set, which holds every j paired with an accepting state of A,
-    so no root dies before the first entry.  Setting an entry only adds
-    triples, so a dead root stays dead below that entry.  ``assign`` pushes
-    a copy of the top state closed over the new entry; ``retract`` pops it.
+    ``a1`` is whole; ``a2`` has l states and starts at ``root``.  The run
+    fails at its first conflict: under ``si`` one pair (j, k) reaches two
+    states of A; under ``ai`` one k, paired with accepting j's, meets
+    accepting and rejecting states of A.  ``wai`` is ``si`` on the minimal
+    automaton, and under ``ai`` a1 accepts the forced set, which holds every
+    j paired with an accepting state of A, so no run fails before the first
+    entry.  Setting an entry only adds triples, so a failed run stays failed
+    below it.  ``assign`` pushes a copy of the top state closed over the new
+    entry, False at a conflict; ``retract`` pops it.
     """
 
-    def __init__(self, ai: bool, a: Dfa, a1: Dfa, l: int, roots: range):
+    def __init__(self, ai: bool, a: Dfa, a1: Dfa, l: int, root: int):
         self.ai = ai
         self.rows = a.table
         self.rows1 = a1.table
         self.final = [i in a.accepting for i in range(a.n)]
         self.final1 = [j in a1.accepting for j in range(a1.n)]
         self.s = len(a.alphabet)
-        self.roots = roots
         self.flat = [0] * (l * self.s)
         self.nodes = 0
-        # seen triples, conflict key -> first value, (r, i, j) per k, dead roots
-        self.states = [(set(), {}, [[] for _ in range(l)], set())]
-        self._close(self.states[0], [(r, a.initial, a1.initial, r) for r in roots], -1)
+        # conflict key -> first value, (i, j) pairs reached per a2 state k
+        self.states = [({}, [set() for _ in range(l)])]
+        self._close(self.states[0], [(a.initial, a1.initial, root)], -1)
 
     def assign(self, p: int, v: int) -> bool:
         self.nodes += 1
         self.flat[p] = v
-        seen, label, reached, dead = self.states[-1]
-        state = (set(seen), dict(label), [list(x) for x in reached], set(dead))
+        label, reached = self.states[-1]
+        state = (dict(label), [set(x) for x in reached])
         self.states.append(state)
         k, u = divmod(p, self.s)
         rows, rows1 = self.rows, self.rows1
-        self._close(
-            state, [(r, rows[i][u], rows1[j][u], v) for r, i, j in reached[k] if r not in dead], p
-        )
-        return len(state[3]) < len(self.roots)
+        return self._close(state, [(rows[i][u], rows1[j][u], v) for i, j in reached[k]], p)
 
     def retract(self) -> None:
         self.states.pop()
 
-    def _close(self, state, work: list[tuple[int, int, int, int]], p: int) -> None:
+    def _close(self, state, work: list[tuple[int, int, int]], p: int) -> bool:
         """Add to ``state`` the triples in ``work`` and all they reach by entries <= p."""
         rows, rows1, flat, s = self.rows, self.rows1, self.flat, self.s
         final, final1, ai = self.final, self.final1, self.ai
-        seen, label, reached, dead = state
+        label, reached = state
         while work:
-            triple = work.pop()
-            r, i, j, k = triple
-            if r in dead or triple in seen:
+            i, j, k = work.pop()
+            if (i, j) in reached[k]:
                 continue
             if not ai:
-                key, value = (r, j, k), i
+                key, value = (j, k), i
             elif final1[j]:
-                key, value = (r, k), final[i]
+                key, value = k, final[i]
             else:
                 key = None
             if key is not None and label.setdefault(key, value) != value:
-                dead.add(r)
-                continue
-            seen.add(triple)
-            reached[k].append((r, i, j))
+                return False
+            reached[k].add((i, j))
             base = k * s
             for u in range(min(s, p - base + 1)):
-                work.append((r, rows[i][u], rows1[j][u], flat[base + u]))
+                work.append((rows[i][u], rows1[j][u], flat[base + u]))
+        return True
 
-    def solution(self) -> tuple[int, frozenset[int]]:
-        """The lowest live initial state and, for ai, the least accepting set
-        its run allows: the k's that meet an accepting j and accepting i."""
-        _, label, _, dead = self.states[-1]
-        r = min(set(self.roots) - dead)
-        if not self.ai:
-            return r, frozenset()
-        return r, frozenset(k for (root, k), value in label.items() if root == r and value)
+    def solution(self) -> frozenset[int]:
+        """For ai, the least accepting set the run allows: the k's that meet
+        an accepting j and an accepting i; empty otherwise."""
+        label = self.states[-1][0]
+        return frozenset(k for k, value in label.items() if value) if self.ai else frozenset()
 
 
 def _forced_accepting(a: Dfa, a1: Dfa) -> Dfa:
@@ -311,8 +303,10 @@ def certify_undecomposable(
     pair: the triples reachable through a prefix are reachable in every
     completion of it, so a conflict of the prefix is a conflict of all of
     them, and the leaves are reached in table order.  At a complete table
-    the triples are the pair's reachable ones, so a root without conflict
-    verifies, and the lowest such initial state comes first.
+    the triples are the pair's reachable ones, so a run without conflict
+    verifies.  One search per initial state of the second automaton (state
+    0 under ``canonical_only``) stops at its first table, and the least
+    (table, initial state) is the enumerator's first pair.
 
     Two exact reductions keep that answer.  ``wai`` is ``si`` on the minimal
     automaton M: words that reach one pair but two states of M are told
@@ -347,15 +341,20 @@ def certify_undecomposable(
         ]
         for l in range(1, eff2 + 1):
             for a1 in firsts:
-                search = _PairSearch(ai, target, a1, l, range(1 if canonical else l))
-                for flat in _table_walk(l, s, canonical, search):
-                    initial, accepting = search.solution()
-                    a2 = _candidate(dfa.alphabet, _rows(flat, l, s), initial, accepting)
+                finds = []
+                for root in range(1 if canonical else l):
+                    search = _PairSearch(ai, target, a1, l, root)
+                    flat = next(_table_walk(l, s, canonical, search), None)
+                    nodes += search.nodes
+                    if flat is not None:
+                        finds.append((_rows(flat, l, s), root, search.solution()))
+                if finds:
+                    table, initial, accepting = min(finds)
+                    a2 = _candidate(dfa.alphabet, table, initial, accepting)
                     result = verify(kind, dfa, a1, a2)
                     if not result:
                         raise RuntimeError(f"search found a pair that verify refuses: {result}")
                     return result
-                nodes += search.nodes
 
     return ExhaustionCertificate(
         kind=kind,

@@ -182,7 +182,7 @@ def parse_partition(text: str, dfa: Dfa) -> Partition:
 
 
 def _quote(token: str) -> str:
-    return '"' + token.replace('"', '\\"') + '"'
+    return '"' + token.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def export_dot(dfa: Dfa, partition: Partition | None = None) -> str:

@@ -384,6 +384,32 @@ trans s2 b s0
 end
 """
 
+GRID23_AI_ALL = """\
+ai: counterexample found (a1=2 states, a2=3 states)
+dfa cand2
+alphabet a b
+states s0 s1
+initial s1
+accepting s0
+trans s0 a s0
+trans s0 b s0
+trans s1 a s0
+trans s1 b s1
+end
+dfa cand3
+alphabet a b
+states s0 s1 s2
+initial s2
+accepting s0
+trans s0 a s0
+trans s0 b s0
+trans s1 a s1
+trans s1 b s0
+trans s2 a s2
+trans s2 b s1
+end
+"""
+
 
 class TestGoldenOutput:
     """Exact stdout of a few runs: names, block order, entry order and
@@ -492,6 +518,19 @@ class TestGoldenOutput:
         )
         assert code == 0
         assert out == EXAMPLE31_PRIME_WAI
+
+    def test_oracle_ai_find_through_nonzero_initial_states(self, capsys, monkeypatch):
+        # a1 starts at s1 and a2 at s2: the pair comes from the search that
+        # starts the second automaton at state 2, not from the one at state 0.
+        code, out, err = run_cli(
+            capsys,
+            ["oracle", "--kind", "ai", "--max1", "2", "--max2", "3", "--all-candidates"],
+            stdin=print_dfa(gen_grid(2, 3)),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out == GRID23_AI_ALL
+        assert err == "# search space estimate: 2291380\n"
 
     def test_verify_refusal_names_the_first_word_in_bfs_order(self, capsys, tmp_path):
         # The shortest words grid(2,3) accepts, abb, bab and bba, all lie outside

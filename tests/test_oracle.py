@@ -196,6 +196,21 @@ class TestCertify:
         assert cert.candidates_examined == 52441 == 229**2
         assert cert.nodes_visited * 10 < cert.candidates_examined
 
+    @pytest.mark.parametrize(
+        "kind, dfa, caps, nodes",
+        [
+            ("si", gen_a4b4_triple()[0], (3, 3), 5144),
+            ("wai", gen_a4b4_triple()[0], (3, 3), 5144),
+            ("ai", gen_a4b4_triple()[0], (3, 3), 49922),
+            ("wai", gen_ln(6), (5, 5), 375),
+        ],
+        ids=["a4b4-si", "a4b4-wai", "a4b4-ai", "ln6-wai"],
+    )
+    def test_canonical_search_sets_a_fixed_number_of_entries(self, kind, dfa, caps, nodes):
+        cert = certify_undecomposable(kind, dfa, SearchBudget(*caps))
+        assert isinstance(cert, ExhaustionCertificate)
+        assert cert.nodes_visited == nodes
+
 
 def _outcome(result):
     """What a search answered: the found pair with its witness, or the
@@ -256,7 +271,8 @@ def test_search_matches_the_enumerator(canonical_only):
 def _search_cases(draw):
     """A trimmed automaton of 1-5 states over 1-2 symbols, a canonical first
     factor of 1-3 states (accepting its forced set under ai), a second
-    factor size l of 1-3, one root or l roots, and a pruning coin."""
+    factor size l of 1-3, a walk of canonical tables from initial state 0
+    or of all tables from one initial state in range(l), and a pruning coin."""
     alphabet = ("a", "b")[: draw(st.integers(1, 2))]
     n = draw(st.integers(1, 5))
     table = tuple(tuple(draw(st.integers(0, n - 1)) for _ in alphabet) for _ in range(n))
@@ -267,8 +283,9 @@ def _search_cases(draw):
     if ai:
         a1 = _forced_accepting(a, a1)
     l = draw(st.integers(1, 3))
-    roots = range(draw(st.sampled_from((1, l))))
-    return ai, a, a1, l, roots, draw(st.randoms(use_true_random=False))
+    canonical = draw(st.booleans())
+    root = 0 if canonical else draw(st.integers(0, l - 1))
+    return ai, a, a1, l, canonical, root, draw(st.randoms(use_true_random=False))
 
 
 @settings(max_examples=150, deadline=None)
@@ -276,12 +293,12 @@ def _search_cases(draw):
 def test_search_state_after_each_entry_matches_a_fresh_search(case):
     """Walked depth first, with retractions between siblings and random
     prunes, the search answers as one that only ever set the current prefix."""
-    ai, a, a1, l, roots, rng = case
-    search = _PairSearch(ai, a, a1, l, roots)
+    ai, a, a1, l, canonical, root, rng = case
+    search = _PairSearch(ai, a, a1, l, root)
     prefix = []
 
     def fresh() -> tuple[_PairSearch, bool]:
-        other = _PairSearch(ai, a, a1, l, roots)
+        other = _PairSearch(ai, a, a1, l, root)
         return other, [other.assign(p, v) for p, v in enumerate(prefix)][-1]
 
     class Checked:
@@ -300,6 +317,6 @@ def test_search_state_after_each_entry_matches_a_fresh_search(case):
             search.retract()
 
     checked = Checked()
-    for flat in _table_walk(l, len(a.alphabet), len(roots) == 1, checked):
+    for flat in _table_walk(l, len(a.alphabet), canonical, checked):
         assert search.solution() == fresh()[0].solution(), flat
     assert checked.depth == 0

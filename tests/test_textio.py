@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -323,3 +326,19 @@ class TestDot:
     def test_output_is_deterministic(self):
         g = gen_grid(2, 3)
         assert export_dot(g) == export_dot(g)
+
+    def test_backslashes_and_quotes_in_names_are_escaped(self):
+        # A name is any non-whitespace token, so it may end in a backslash or
+        # hold one before a quote; each quoted ID must still end where it should.
+        names = ("q\\", 'a\\"b', "\\", '"')
+        g = dataclasses.replace(gen_grid(2, 2), name="g\\", states=names)
+        dot = export_dot(g)
+        assert dot.startswith('digraph "g\\\\" {\n')
+        assert '  "q\\\\";\n' in dot
+        assert '  "a\\\\\\"b";\n' in dot
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        for line in dot.splitlines():
+            # Outside its quoted IDs a line holds no quote or backslash.
+            assert not re.search(r'["\\]', quoted.sub("", line)), line
+        ids = {re.sub(r"\\(.)", r"\1", m) for m in quoted.findall(dot)}
+        assert ids - {"a", "b", "a,b"} == {"g\\", *names}
