@@ -8,7 +8,8 @@ vectors, which name each state's block by its least state: the form that a
 union-find hanging larger roots under smaller ones resolves to, so they never
 renumber.  :class:`Partition` objects are built only for results.  All
 functions here work on state indexes; name formatting lives in
-:mod:`dfadecomp.textio`.  ``minimize`` is the Moore partition's ``quotient``.
+:mod:`dfadecomp.textio`.  ``minimize`` is the ``quotient`` by the Moore
+partition, which Hopcroft's algorithm finds in O(|Σ|·n log n).
 """
 
 from __future__ import annotations
@@ -400,24 +401,49 @@ def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
 
     Unreachable states are removed first; the result is then the quotient
     by the Moore partition, the coarsest substitution-property partition
-    that refines the accepting/rejecting split, found by refinement rounds.
-    The returned map sends every reachable state of the input onto the state
-    of the result that simulates it, so ``f(run(dfa, w)) == run(result, w)``
-    for every word ``w``.
+    that refines the accepting/rejecting split.  That partition is unique,
+    so any refinement that reaches it gives the same blocks; Hopcroft's
+    algorithm ("An n log n algorithm for minimizing states in a finite
+    automaton", 1971) finds it in O(|Σ|·n log n).  Each block waiting as a
+    splitter cuts every block with some, but not all, states entering it on
+    one symbol; a split moves only those states, and queues the block's
+    new half if the block is waiting already, its smaller half otherwise.
+    The returned map sends every reachable state of the input onto the
+    state of the result that simulates it, so ``f(run(dfa, w)) ==
+    run(result, w)`` for every word ``w``.
 
     Merged states are named by joining the member names with ``+`` in the
     original state order.
     """
     base = trim(dfa)
-    block = _leaders(i in base.accepting for i in range(base.n))
-    while True:
-        # Each key starts with the state's own block, so a round only splits
-        # blocks, and an unchanged vector is the fixpoint.
-        refined = _leaders((b, *map(block.__getitem__, row)) for b, row in zip(block, base.table))
-        if refined == block:
-            break
-        block = refined
-    pi = Partition._from_leaders(block)
+    n = base.n
+    preimages = [[[] for _ in range(n)] for _ in base.alphabet]
+    for i, row in enumerate(base.table):
+        for pre, j in zip(preimages, row):
+            pre[j].append(i)
+    block = [int(i not in base.accepting) for i in range(n)]
+    members = [set(base.accepting), set(range(n)).difference(base.accepting)]
+    # Every state enters the whole state set on each symbol, so the accepting
+    # and the rejecting states split alike: the smaller set is the only
+    # splitter to start with.
+    waiting = {int(len(members[1]) < len(members[0]))}
+    while waiting:
+        splitter = list(members[waiting.pop()])
+        for pre in preimages:
+            entering: dict[int, list[int]] = {}  # block -> its states entering the splitter
+            for j in splitter:
+                for i in pre[j]:
+                    entering.setdefault(block[i], []).append(i)
+            for y, xs in entering.items():
+                if len(xs) == len(members[y]):
+                    continue
+                members[y].difference_update(xs)
+                new = len(members)
+                members.append(set(xs))
+                for i in xs:
+                    block[i] = new
+                waiting.add(new if y in waiting or len(xs) <= len(members[y]) else y)
+    pi = Partition._from_leaders(_leaders(block))
     accepting = {pi.block_index[i] for i in base.accepting}
     result = quotient(base, pi, accepting, name=dfa.name + "_min")
     mapping: StateMap = {q: result.states[b] for q, b in zip(base.states, pi.block_index)}

@@ -474,6 +474,18 @@ class TestProjectToMinimal:
             assert verify("sb", m, projected.a1, projected.a2)
             assert projected.a1.n <= d.a1.n and projected.a2.n <= d.a2.n
 
+    @settings(deadline=None)
+    @given(helpers.dfas(), helpers.dfas())
+    def test_projected_partitions_meet_to_zero(self, b1, b2):
+        a = trim(parallel_connection(b1, b2))
+        assume(is_distributive(sp_lattice(a)))
+        m, _ = minimize(a)
+        for decompose in (decompose_sb, decompose_asb):
+            for e in decompose(a).entries:
+                p1, p2 = project_to_minimal(a, e.decomposition).source_partitions
+                assert p1.n == p2.n == m.n
+                assert meet(p1, p2) == Partition.singletons(m.n)
+
 
 class TestTransferToMinimal:
     def test_si_transfer_from_a_padded_variant(self):

@@ -23,6 +23,7 @@ from dfadecomp import (
     decompose_sb,
     decompose_wai_sufficient,
     gen_grid,
+    gen_k_extension,
     is_distributive,
     leq,
     meet,
@@ -260,16 +261,57 @@ def test_verify_matches_the_pair_set_form():
     }
 
 
+def _random_input(seed: int) -> Dfa:
+    """A random automaton of at most 9 states, and half the draws rename their
+    states and start elsewhere, so more of them keep unreachable states."""
+    rng = random.Random(seed)
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    a = random_dfa(rng, rng.randint(1, 9), alphabet)
+    if seed % 2:
+        a = Dfa(a.name, a.states[::-1], a.alphabet, a.table, rng.randrange(a.n), a.accepting)
+    return a
+
+
+def _random_minimal(rng: random.Random, alphabet) -> Dfa:
+    """A random minimal automaton.  A random unary automaton rarely has a long
+    cycle, so over one letter the draw is a lasso with a cycle of 5-16 states."""
+    if len(alphabet) > 1:
+        return helpers.minimize_by_signatures(random_dfa(rng, rng.randint(3, 16), alphabet))[0]
+    tail, cycle = rng.randint(0, 4), rng.randint(5, 16)
+    n = tail + cycle
+    table = tuple((i + 1 if i + 1 < n else tail,) for i in range(n))
+    accepting = frozenset(i for i in range(n) if rng.random() < 0.5)
+    lasso = Dfa("lasso", tuple(f"u{i}" for i in range(n)), alphabet, table, 0, accepting)
+    return helpers.minimize_by_signatures(lasso)[0]
+
+
+def _deep_refinement_input(seed: int) -> Dfa:
+    """An automaton that refinement splits over many rounds, or not at all:
+    a random base behind an entry chain of up to 60 steps, a trimmed product
+    of two random minimal automata with 60-200 states, or a random automaton
+    with every state accepting or none, so that nothing splits the states."""
+    rng = random.Random(seed)
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    if seed % 4 == 0:
+        return gen_k_extension(random_dfa(rng, rng.randint(1, 8), alphabet), rng.randint(1, 60))
+    if seed % 4 == 1:
+        while True:
+            product = trim(parallel_connection(*(_random_minimal(rng, alphabet) for _ in range(2))))
+            if 60 <= product.n <= 200:
+                return product
+    a = random_dfa(rng, rng.randint(1, 40), alphabet)
+    return dataclasses.replace(a, accepting=frozenset(range(a.n)) if seed % 4 == 2 else frozenset())
+
+
 def test_minimize_matches_the_signature_form():
-    for seed in range(600):
-        rng = random.Random(seed)
-        alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
-        a = random_dfa(rng, rng.randint(1, 9), alphabet)
-        # Half the draws rename their states and start elsewhere, so more of
-        # them keep unreachable states.
-        if seed % 2:
-            a = Dfa(a.name, a.states[::-1], a.alphabet, a.table, rng.randrange(a.n), a.accepting)
+    draws = [_random_input(seed) for seed in range(600)]
+    draws += [_deep_refinement_input(seed) for seed in range(240)]
+    sizes = set()
+    for k, a in enumerate(draws):
         new, new_map = minimize(a)
         old, old_map = helpers.minimize_by_signatures(a)
-        assert print_dfa(new) == print_dfa(old), seed
-        assert list(new_map.items()) == list(old_map.items()), seed
+        assert print_dfa(new) == print_dfa(old), k
+        assert list(new_map.items()) == list(old_map.items()), k
+        sizes.add(new.n)
+    # Chains and products reach 60 states; with every state accepting or none, one is left.
+    assert 1 in sizes and max(sizes) >= 60
