@@ -5,13 +5,15 @@ cross-check the constructive lattice.  The candidate pair search certifies
 that no small decomposition exists: it enumerates the first automaton of a
 pair whole, fills in the second one's transition table an entry at a time,
 and cuts a branch as soon as the joint run through the entries set so far
-shows a conflict.  ``wai`` runs as ``si`` on the minimal automaton, and
-``ai`` computes the first automaton's accepting set instead of enumerating it.
+shows a conflict.  ``wai`` runs as ``si`` on the minimal automaton,
+``ai`` computes the first automaton's accepting set instead of enumerating
+it, and size and first-factor bounds skip what cannot hold the first pair.
 """
 
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -79,7 +81,9 @@ class ExhaustionCertificate:
     ``candidates_examined`` is the size of the space covered, the candidate
     pairs within the effective caps; ``nodes_visited`` is the search's own
     work, the partial second-automaton tables it set an entry of, summed
-    over one search per initial state the second automaton may take.
+    over one search per initial state the second automaton may take.  The
+    exact reductions of ``certify_undecomposable`` skip work without changing
+    the answer, so ``nodes_visited`` is the only field they change.
     """
 
     kind: DecompositionKind
@@ -220,62 +224,81 @@ class _PairSearch:
     entry.  Setting an entry only adds triples, so a failed run stays failed
     below it.  ``assign`` pushes a copy of the top state closed over the new
     entry, False at a conflict; ``retract`` pops it.
+
+    A state is one list of bit sets: ``reached[k]`` holds the pairs (i, j)
+    reached with a2 state k, as bit ``i * a1.n + j``.  Every conflict is two
+    pairs at one k, so each pair's conflicts are one mask: under ``si`` the
+    pairs of its j with another i, under ``ai`` (for an accepting j) the
+    pairs of accepting j's whose i differs on acceptance.
     """
 
     def __init__(self, ai: bool, a: Dfa, a1: Dfa, l: int, root: int):
-        self.ai = ai
-        self.rows = a.table
-        self.rows1 = a1.table
-        self.final = [i in a.accepting for i in range(a.n)]
-        self.final1 = [j in a1.accepting for j in range(a1.n)]
+        n1 = a1.n
+        pairs = [(i, j) for i in range(a.n) for j in range(n1)]
+        self.accepted = 0  # the pairs of an accepting i and j, under ai
+        if ai:
+            # the pairs with an accepting j, by whether i is accepting
+            by_final = [0, 0]
+            for b, (i, j) in enumerate(pairs):
+                if j in a1.accepting:
+                    by_final[i in a.accepting] |= 1 << b
+            self.accepted = by_final[1]
+            self.clash = [
+                by_final[i not in a.accepting] if j in a1.accepting else 0 for i, j in pairs
+            ]
+        else:
+            column = [0] * n1
+            for b, (_, j) in enumerate(pairs):
+                column[j] |= 1 << b
+            self.clash = [column[j] & ~(1 << b) for b, (_, j) in enumerate(pairs)]
         self.s = len(a.alphabet)
+        # per symbol u, the pair that pair b = i * n1 + j moves to
+        self.step = [
+            [a.table[i][u] * n1 + a1.table[j][u] for i, j in pairs] for u in range(self.s)
+        ]
         self.flat = [0] * (l * self.s)
         self.nodes = 0
-        # conflict key -> first value, (i, j) pairs reached per a2 state k
-        self.states = [({}, [set() for _ in range(l)])]
-        self._close(self.states[0], [(a.initial, a1.initial, root)], -1)
+        self.states = [[0] * l]
+        self._close(self.states[0], [(a.initial * n1 + a1.initial, root)], -1)
 
     def assign(self, p: int, v: int) -> bool:
         self.nodes += 1
         self.flat[p] = v
-        label, reached = self.states[-1]
-        state = (dict(label), [set(x) for x in reached])
-        self.states.append(state)
+        reached = self.states[-1][:]
+        self.states.append(reached)
         k, u = divmod(p, self.s)
-        rows, rows1 = self.rows, self.rows1
-        return self._close(state, [(rows[i][u], rows1[j][u], v) for i, j in reached[k]], p)
+        step = self.step[u]
+        work = []
+        x = reached[k]
+        while x:
+            low = x & -x
+            work.append((step[low.bit_length() - 1], v))
+            x ^= low
+        return self._close(reached, work, p)
 
     def retract(self) -> None:
         self.states.pop()
 
-    def _close(self, state, work: list[tuple[int, int, int]], p: int) -> bool:
-        """Add to ``state`` the triples in ``work`` and all they reach by entries <= p."""
-        rows, rows1, flat, s = self.rows, self.rows1, self.flat, self.s
-        final, final1, ai = self.final, self.final1, self.ai
-        label, reached = state
+    def _close(self, reached: list[int], work: list[tuple[int, int]], p: int) -> bool:
+        """Add to ``reached`` the (pair, k) in ``work`` and all they reach by entries <= p."""
+        step, clash, flat, s = self.step, self.clash, self.flat, self.s
         while work:
-            i, j, k = work.pop()
-            if (i, j) in reached[k]:
+            b, k = work.pop()
+            here = reached[k]
+            if here >> b & 1:
                 continue
-            if not ai:
-                key, value = (j, k), i
-            elif final1[j]:
-                key, value = k, final[i]
-            else:
-                key = None
-            if key is not None and label.setdefault(key, value) != value:
+            if here & clash[b]:
                 return False
-            reached[k].add((i, j))
+            reached[k] = here | 1 << b
             base = k * s
             for u in range(min(s, p - base + 1)):
-                work.append((rows[i][u], rows1[j][u], flat[base + u]))
+                work.append((step[u][b], flat[base + u]))
         return True
 
     def solution(self) -> frozenset[int]:
         """For ai, the least accepting set the run allows: the k's that meet
         an accepting j and an accepting i; empty otherwise."""
-        label = self.states[-1][0]
-        return frozenset(k for k, value in label.items() if value) if self.ai else frozenset()
+        return frozenset(k for k, here in enumerate(self.states[-1]) if here & self.accepted)
 
 
 def _forced_accepting(a: Dfa, a1: Dfa) -> Dfa:
@@ -283,6 +306,12 @@ def _forced_accepting(a: Dfa, a1: Dfa) -> Dfa:
     order, _ = _triple_bfs(a, a1, a1)
     accepting = {j for i, j, _ in order if i in a.accepting}
     return _candidate(a.alphabet, a1.table, a1.initial, accepting)
+
+
+def _fan(a: Dfa, a1: Dfa) -> int:
+    """The most states of ``a`` that the words reaching one state of ``a1`` reach."""
+    order, _ = _triple_bfs(a, a1, a1)
+    return max(Counter(j for _, j, _ in order).values())
 
 
 def certify_undecomposable(
@@ -308,13 +337,36 @@ def certify_undecomposable(
     0 under ``canonical_only``) stops at its first table, and the least
     (table, initial state) is the enumerator's first pair.
 
-    Two exact reductions keep that answer.  ``wai`` is ``si`` on the minimal
-    automaton M: words that reach one pair but two states of M are told
-    apart by a suffix (Myhill-Nerode), which is a wai conflict, and L(M) =
-    L(A).  Under ``ai`` every valid F1 contains F1*, the a1 states that words
-    of L(A) reach, and F1* is valid whenever some F1 is, since L(A) lies in
-    L(a1 with F1*) & L(a2), which lies in L(a1 with F1) & L(a2).  So F1* is
-    the least valid F1 in mask order.
+    Six exact reductions keep that answer; they change only the
+    certificate's ``nodes_visited``.  Two of them narrow what is searched:
+
+    - ``wai`` is ``si`` on the minimal automaton M: words that reach one pair
+      but two states of M are told apart by a suffix (Myhill-Nerode), which
+      is a wai conflict, and L(M) = L(A).
+    - Under ``ai`` every valid F1 contains F1*, the a1 states that words of
+      L(A) reach, and F1* is valid whenever some F1 is, since L(A) lies in
+      L(a1 with F1*) & L(a2), which lies in L(a1 with F1) & L(a2).  So F1* is
+      the least valid F1 in mask order.
+
+    The other four skip a size pair (k, l) or a first automaton at some l.
+    Each skips only where no valid pair exists or where a valid pair implies
+    one earlier in the enumeration, so the first valid pair is never skipped:
+
+    - Symmetric sizes: ai, si and wai do not depend on the order of the
+      factors, so a valid pair at (k, l) with l < k, swapped, is a valid
+      pair at (l, k), which comes first when k is within the second cap.
+    - Size product: the reachable pairs map onto every state of A under si
+      and of M under wai, and under ai their product automaton recognizes
+      L(A), so it has at least as many states as M.  So k * l is at least n
+      (si) or the states of M (wai, ai).
+    - Fan (si, wai): if the words that take a1 to state j take the target
+      to f states, each of those needs an a2 state of its own, since a pair
+      (j, k) reaches one state.  An a1 is skipped at every l below its
+      largest f.
+    - Minimal first factor (ai): if (a1 with F1*) minimizes to k' < k states,
+      the minimal automaton, numbered as a candidate of size k', accepts the
+      same language, so it is valid with every a2 that a1 is valid with, at
+      (k', l).
     """
     kind = _as_kind(kind)
     if kind not in (DecompositionKind.AI, DecompositionKind.SI, DecompositionKind.WAI):
@@ -332,15 +384,25 @@ def certify_undecomposable(
             estimate=estimate,
         )
     ai = kind is DecompositionKind.AI
-    target = minimize(dfa)[0] if kind is DecompositionKind.WAI else dfa
+    minimal = minimize(dfa)[0]
+    target = minimal if kind is DecompositionKind.WAI else dfa
+    least = (dfa if kind is DecompositionKind.SI else minimal).n
     nodes = 0
     for k in range(1, eff1 + 1):
-        firsts = [
-            _forced_accepting(dfa, a1) if ai else a1
-            for a1 in candidate_automata(k, dfa.alphabet, canonical)
-        ]
+        firsts = []  # (a1, the least l it may pair with)
+        for a1 in candidate_automata(k, dfa.alphabet, canonical):
+            if ai:
+                a1 = _forced_accepting(dfa, a1)
+                if minimize(a1)[0].n == k:
+                    firsts.append((a1, 1))
+            else:
+                firsts.append((a1, _fan(target, a1)))
         for l in range(1, eff2 + 1):
-            for a1 in firsts:
+            if l < k <= eff2 or k * l < least:
+                continue
+            for a1, least_l in firsts:
+                if l < least_l:
+                    continue
                 finds = []
                 for root in range(1 if canonical else l):
                     search = _PairSearch(ai, target, a1, l, root)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from dfadecomp import (
     trim,
     verify,
 )
+from dfadecomp import oracle
 from dfadecomp.oracle import (
     _forced_accepting,
     _PairSearch,
@@ -199,12 +201,13 @@ class TestCertify:
     @pytest.mark.parametrize(
         "kind, dfa, caps, nodes",
         [
-            ("si", gen_a4b4_triple()[0], (3, 3), 5144),
-            ("wai", gen_a4b4_triple()[0], (3, 3), 5144),
-            ("ai", gen_a4b4_triple()[0], (3, 3), 49922),
-            ("wai", gen_ln(6), (5, 5), 375),
+            ("si", gen_a4b4_triple()[0], (3, 3), 0),
+            ("wai", gen_a4b4_triple()[0], (3, 3), 0),
+            ("ai", gen_a4b4_triple()[0], (3, 3), 30447),
+            ("wai", gen_ln(6), (5, 5), 192),
+            ("si", gen_ln(5), (4, 4), 83),
         ],
-        ids=["a4b4-si", "a4b4-wai", "a4b4-ai", "ln6-wai"],
+        ids=["a4b4-si", "a4b4-wai", "a4b4-ai", "ln6-wai", "ln5-si"],
     )
     def test_canonical_search_sets_a_fixed_number_of_entries(self, kind, dfa, caps, nodes):
         cert = certify_undecomposable(kind, dfa, SearchBudget(*caps))
@@ -265,6 +268,77 @@ def test_search_matches_the_enumerator(canonical_only):
     # wai runs as si on the minimal automaton; non-minimal inputs exercise that.
     assert ("wai", Decomposition, False) in outcomes
     assert ("wai", ExhaustionCertificate, False) in outcomes
+
+
+def _skip_rule(kind: str, a: Dfa, a1: Dfa, l: int, eff2: int) -> str | None:
+    """The reduction that lets the search skip first factor ``a1`` (its table
+    and initial state) at second size l, decided from the automata alone;
+    None if no reduction does."""
+    k = a1.n
+    minimal = helpers.minimize_by_signatures(a)[0]
+    if l < k <= eff2:
+        return "symmetric sizes"
+    if k * l < (a if kind == "si" else minimal).n:
+        return "size product"
+    if kind == "ai":
+        order, _ = helpers.triple_bfs_with_parents(a, a1, a1)
+        forced = frozenset(j for i, j, _ in order if i in a.accepting)
+        if not helpers.is_minimal(dataclasses.replace(a1, accepting=forced)):
+            return "non-minimal first factor"
+        return None
+    order, _ = helpers.triple_bfs_with_parents(a if kind == "si" else minimal, a1, a1)
+    if l < max(Counter(j for _, j, _ in order).values()):
+        return "fan"
+    return None
+
+
+@pytest.mark.parametrize("canonical_only", [True, False], ids=["canonical", "all"])
+def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeypatch):
+    """Every (a1, l) up to the enumerator's first pair is either searched, or
+    skipped by a reduction and then, with any accepting sets, verifies with
+    no second factor of l states."""
+    searched = set()
+
+    class Recorded(_PairSearch):
+        def __init__(self, ai, a, a1, l, root):
+            searched.add((a1.table, a1.initial, l))
+            super().__init__(ai, a, a1, l, root)
+
+    monkeypatch.setattr(oracle, "_PairSearch", Recorded)
+    skips = Counter()
+    for seed in range(90):
+        kind, a, budget = _random_case(seed, canonical_only)
+        searched.clear()
+        certify_undecomposable(kind, a, budget)
+        first = helpers.certify_by_enumeration(kind, a, budget)
+        stop = None
+        if isinstance(first, Decomposition):
+            stop = (first.a1.table, first.a1.initial, first.a2.n)
+        eff1, eff2 = min(budget.max_states_1, a.n - 1), min(budget.max_states_2, a.n - 1)
+        by_size = {
+            k: list(helpers.candidates_by_product(k, a.alphabet, canonical_only, kind == "ai"))
+            for k in range(1, max(eff1, eff2) + 1)
+        }
+        positions = (
+            (a1, l)
+            for k in range(1, eff1 + 1)
+            for l in range(1, eff2 + 1)
+            for a1 in candidate_automata(k, a.alphabet, canonical_only)
+        )
+        for a1, l in positions:
+            rule = _skip_rule(kind, a, a1, l, eff2)
+            if rule is None:
+                assert (a1.table, a1.initial, l) in searched, (seed, a1.table, l)
+            else:
+                skips[rule] += 1
+                key = (a1.table, a1.initial)
+                firsts = [b1 for b1 in by_size[a1.n] if (b1.table, b1.initial) == key]
+                found = (verify(kind, a, b1, a2) for b1 in firsts for a2 in by_size[l])
+                assert not any(found), (seed, rule, a1.table, l)
+            if (a1.table, a1.initial, l) == stop:
+                break
+    rules = {"symmetric sizes", "size product", "fan", "non-minimal first factor"}
+    assert set(skips) == rules, skips
 
 
 @st.composite
