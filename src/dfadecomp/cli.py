@@ -231,6 +231,7 @@ def _cmd_dot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="decomp",

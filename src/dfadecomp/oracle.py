@@ -159,16 +159,10 @@ def _table_count(k: int, s: int, canonical_only: bool, p: int = 0, seen: int = 1
     )
 
 
-def _table_walk(
-    k: int, s: int, canonical_only: bool, search: "_PairSearch | None" = None
-) -> Iterator[list[int]]:
+def _table_walk(k: int, s: int, canonical_only: bool) -> Iterator[list[int]]:
     """Flat row-major transition tables of k states over s symbols, in
-    ``itertools.product(range(k), repeat=k * s)`` order.
-
-    A ``search``, if given, hears of each entry as it is set (``assign``
-    returning False cuts the subtree below it), and every ``assign`` is
-    followed by one ``retract``.  The yielded list is reused; copy it to keep it.
-    """
+    ``itertools.product(range(k), repeat=k * s)`` order.  The yielded list
+    is reused; copy it to keep it."""
     flat = [0] * (k * s)
 
     def extend(p: int, seen: int) -> Iterator[list[int]]:
@@ -177,10 +171,7 @@ def _table_walk(
             return
         for v in _choices(k, s, canonical_only, p, seen):
             flat[p] = v
-            if search is None or search.assign(p, v):
-                yield from extend(p + 1, max(seen, v + 1))
-            if search is not None:
-                search.retract()
+            yield from extend(p + 1, max(seen, v + 1))
 
     return extend(0, 1) if _table_count(k, s, canonical_only) else iter(())
 
@@ -213,105 +204,109 @@ def candidate_automata(
 
 
 class _PairSearch:
-    """Triples (A, a1, a2) reachable through the a2 entries set so far.
+    """The second automata that pair with ``a1`` without conflict.
 
-    ``a1`` is whole; ``a2`` has l states and starts at ``root``.  The run
-    fails at its first conflict: under ``si`` one pair (j, k) reaches two
-    states of A; under ``ai`` one k, paired with accepting j's, meets
-    accepting and rejecting states of A.  ``wai`` is ``si`` on the minimal
-    automaton, and under ``ai`` a1 accepts the forced set, which holds every
-    j paired with an accepting state of A, so no run fails before the first
-    entry.  Setting an entry only adds triples, so a failed run stays failed
-    below it.  ``assign`` pushes a copy of the top state closed over the new
-    entry, False at a conflict; ``retract`` pops it.
+    ``first`` walks an l-state table of a2 an entry at a time, in
+    ``_table_walk`` order, and follows the triples (A, a1, a2) reachable
+    through the entries set so far.  The run fails at its first conflict:
+    under ``si`` one pair (j, k) reaches two states of A; under ``ai`` one k,
+    paired with accepting j's, meets accepting and rejecting states of A.
+    ``wai`` is ``si`` on the minimal automaton, and under ``ai`` a1 accepts
+    the forced set, which holds every j paired with an accepting state of A,
+    so no run fails before the first entry.  Setting an entry only adds
+    triples, so a failed run stays failed below it, and the walk cuts the
+    subtree there.  ``nodes`` counts the entries set, over every walk.
 
-    A state is one list of bit sets: ``reached[k]`` holds the pairs (i, j)
-    reached with a2 state k, as bit ``i * a1.n + j``.  Every conflict is two
-    pairs at one k, so each pair's conflicts are one mask: under ``si`` the
-    pairs of its j with another i, under ``ai`` (for an accepting j) the
-    pairs of accepting j's whose i differs on acceptance.
+    Each level of the walk keeps its own state, one list of bit sets:
+    ``reached[k]`` holds the pairs (i, j) reached with a2 state k.  A pair's
+    bit is its position in ``order``, the visit order of
+    ``_triple_bfs(a, a1, a1)``, since no run meets any other pair; the
+    initial pair is bit 0.  Every conflict is two pairs at one k, so each
+    pair's conflicts are one mask, ``clash[b]``: under ``si`` the pairs of
+    its j with another i, under ``ai`` (for an accepting j) the pairs of
+    accepting j's whose i differs on acceptance.  The tables are built at
+    the first walk, so a first automaton that every l skips never pays for them.
     """
 
-    def __init__(self, ai: bool, a: Dfa, a1: Dfa, l: int, root: int):
-        n1 = a1.n
-        pairs = [(i, j) for i in range(a.n) for j in range(n1)]
-        self.accepted = 0  # the pairs of an accepting i and j, under ai
-        if ai:
+    def __init__(self, ai: bool, a: Dfa, a1: Dfa, order: list[tuple[int, int, int]]):
+        self.ai, self.a, self.a1, self.order = ai, a, a1, order
+        self.nodes = 0
+
+    @functools.cached_property
+    def _tables(self) -> tuple[list[list[int]], list[int], int]:
+        """``step[u][b]``, the pair that pair b moves to by symbol u;
+        ``clash``; and the pairs of an accepting i and j, under ai."""
+        a, a1 = self.a, self.a1
+        pairs = [(i, j) for i, j, _ in self.order]
+        index = {pair: b for b, pair in enumerate(pairs)}
+        step = [
+            [index[a.table[i][u], a1.table[j][u]] for i, j in pairs]
+            for u in range(len(a.alphabet))
+        ]
+        if self.ai:
             # the pairs with an accepting j, by whether i is accepting
             by_final = [0, 0]
             for b, (i, j) in enumerate(pairs):
                 if j in a1.accepting:
                     by_final[i in a.accepting] |= 1 << b
-            self.accepted = by_final[1]
-            self.clash = [
-                by_final[i not in a.accepting] if j in a1.accepting else 0 for i, j in pairs
-            ]
-        else:
-            column = [0] * n1
-            for b, (_, j) in enumerate(pairs):
-                column[j] |= 1 << b
-            self.clash = [column[j] & ~(1 << b) for b, (_, j) in enumerate(pairs)]
-        self.s = len(a.alphabet)
-        # per symbol u, the pair that pair b = i * n1 + j moves to
-        self.step = [
-            [a.table[i][u] * n1 + a1.table[j][u] for i, j in pairs] for u in range(self.s)
-        ]
-        self.flat = [0] * (l * self.s)
-        self.nodes = 0
-        self.states = [[0] * l]
-        self._close(self.states[0], [(a.initial * n1 + a1.initial, root)], -1)
+            clash = [by_final[i not in a.accepting] if j in a1.accepting else 0 for i, j in pairs]
+            return step, clash, by_final[1]
+        column = [0] * a1.n
+        for b, (_, j) in enumerate(pairs):
+            column[j] |= 1 << b
+        return step, [column[j] & ~(1 << b) for b, (_, j) in enumerate(pairs)], 0
 
-    def assign(self, p: int, v: int) -> bool:
-        self.nodes += 1
-        self.flat[p] = v
-        reached = self.states[-1][:]
-        self.states.append(reached)
-        k, u = divmod(p, self.s)
-        step = self.step[u]
-        work = []
-        x = reached[k]
-        while x:
-            low = x & -x
-            work.append((step[low.bit_length() - 1], v))
-            x ^= low
-        return self._close(reached, work, p)
+    def first(self, l: int, root: int, canonical_only: bool):
+        """``(rows, root, accepting)`` for the first l-state table whose run
+        from initial state ``root`` has no conflict, None if none has.  Under
+        ai ``accepting`` is the least accepting set the run allows: the k's
+        that meet an accepting j and an accepting i; empty otherwise."""
+        step, clash, accepted = self._tables
+        s = len(step)
+        flat = [0] * (l * s)
 
-    def retract(self) -> None:
-        self.states.pop()
+        def close(reached: list[int], work: list[tuple[int, int]], p: int) -> bool:
+            """Add to ``reached`` the (pair, k) in ``work`` and all they reach by entries <= p."""
+            while work:
+                b, k = work.pop()
+                here = reached[k]
+                if here >> b & 1:
+                    continue
+                if here & clash[b]:
+                    return False
+                reached[k] = here | 1 << b
+                base = k * s
+                for u in range(min(s, p - base + 1)):
+                    work.append((step[u][b], flat[base + u]))
+            return True
 
-    def _close(self, reached: list[int], work: list[tuple[int, int]], p: int) -> bool:
-        """Add to ``reached`` the (pair, k) in ``work`` and all they reach by entries <= p."""
-        step, clash, flat, s = self.step, self.clash, self.flat, self.s
-        while work:
-            b, k = work.pop()
-            here = reached[k]
-            if here >> b & 1:
-                continue
-            if here & clash[b]:
-                return False
-            reached[k] = here | 1 << b
-            base = k * s
-            for u in range(min(s, p - base + 1)):
-                work.append((step[u][b], flat[base + u]))
-        return True
+        def extend(p: int, seen: int, reached: list[int]) -> list[int] | None:
+            if p == len(flat):
+                return reached
+            k, u = divmod(p, s)
+            moved = []  # the pairs that those reached with k move to by u
+            x = reached[k]
+            while x:
+                low = x & -x
+                moved.append(step[u][low.bit_length() - 1])
+                x ^= low
+            for v in _choices(l, s, canonical_only, p, seen):
+                self.nodes += 1
+                flat[p] = v
+                child = reached[:]
+                if close(child, [(b, v) for b in moved], p):
+                    found = extend(p + 1, max(seen, v + 1), child)
+                    if found is not None:
+                        return found
+            return None
 
-    def solution(self) -> frozenset[int]:
-        """For ai, the least accepting set the run allows: the k's that meet
-        an accepting j and an accepting i; empty otherwise."""
-        return frozenset(k for k, here in enumerate(self.states[-1]) if here & self.accepted)
-
-
-def _forced_accepting(a: Dfa, a1: Dfa) -> Dfa:
-    """``a1`` accepting F1*, the states that words of L(a) reach."""
-    order, _ = _triple_bfs(a, a1, a1)
-    accepting = {j for i, j, _ in order if i in a.accepting}
-    return _candidate(a.alphabet, a1.table, a1.initial, accepting)
-
-
-def _fan(a: Dfa, a1: Dfa) -> int:
-    """The most states of ``a`` that the words reaching one state of ``a1`` reach."""
-    order, _ = _triple_bfs(a, a1, a1)
-    return max(Counter(j for _, j, _ in order).values())
+        start = [0] * l
+        start[root] = 1  # the initial pair
+        reached = extend(0, 1, start)
+        if reached is None:
+            return None
+        accepting = frozenset(k for k, here in enumerate(reached) if here & accepted)
+        return _rows(flat, l, s), root, accepting
 
 
 def certify_undecomposable(
@@ -389,34 +384,35 @@ def certify_undecomposable(
     least = (dfa if kind is DecompositionKind.SI else minimal).n
     nodes = 0
     for k in range(1, eff1 + 1):
-        firsts = []  # (a1, the least l it may pair with)
+        firsts = []  # (the least l a1 may pair with, the search of a1)
         for a1 in candidate_automata(k, dfa.alphabet, canonical):
+            order, _ = _triple_bfs(target, a1, a1)
             if ai:
-                a1 = _forced_accepting(dfa, a1)
-                if minimize(a1)[0].n == k:
-                    firsts.append((a1, 1))
-            else:
-                firsts.append((a1, _fan(target, a1)))
+                forced = {j for i, j, _ in order if i in target.accepting}
+                a1 = _candidate(dfa.alphabet, a1.table, a1.initial, forced)
+                if minimize(a1)[0].n < k:
+                    continue
+                least_l = 1
+            else:  # the fan
+                least_l = max(Counter(j for _, j, _ in order).values())
+            if least_l <= eff2:
+                firsts.append((least_l, _PairSearch(ai, target, a1, order)))
         for l in range(1, eff2 + 1):
             if l < k <= eff2 or k * l < least:
                 continue
-            for a1, least_l in firsts:
+            for least_l, search in firsts:
                 if l < least_l:
                     continue
-                finds = []
-                for root in range(1 if canonical else l):
-                    search = _PairSearch(ai, target, a1, l, root)
-                    flat = next(_table_walk(l, s, canonical, search), None)
-                    nodes += search.nodes
-                    if flat is not None:
-                        finds.append((_rows(flat, l, s), root, search.solution()))
+                roots = range(1 if canonical else l)
+                finds = [f for f in (search.first(l, root, canonical) for root in roots) if f]
                 if finds:
                     table, initial, accepting = min(finds)
                     a2 = _candidate(dfa.alphabet, table, initial, accepting)
-                    result = verify(kind, dfa, a1, a2)
+                    result = verify(kind, dfa, search.a1, a2)
                     if not result:
                         raise RuntimeError(f"search found a pair that verify refuses: {result}")
                     return result
+        nodes += sum(search.nodes for _, search in firsts)
 
     return ExhaustionCertificate(
         kind=kind,

@@ -29,9 +29,11 @@ from dfadecomp import (
     verify,
 )
 from dfadecomp import oracle
+from dfadecomp.automata import _triple_bfs
 from dfadecomp.oracle import (
-    _forced_accepting,
+    _candidate,
     _PairSearch,
+    _rows,
     _table_walk,
     all_partitions,
     candidate_automata,
@@ -193,10 +195,16 @@ class TestCertify:
             assert _outcome(certify_undecomposable(kind, dfa, budget)) == _outcome(first)
 
     def test_search_prunes_below_a_tenth_of_the_pairs(self):
-        cert = certify_undecomposable("si", gen_a4b4_triple()[0], SearchBudget(3, 3))
+        a4b4 = gen_a4b4_triple()[0]
+        cert = certify_undecomposable("si", a4b4, SearchBudget(3, 3))
         assert isinstance(cert, ExhaustionCertificate)
         assert cert.candidates_examined == 52441 == 229**2
         assert cert.nodes_visited * 10 < cert.candidates_examined
+        # The fan bound skips every si first factor above; ai sets entries.
+        cert = certify_undecomposable("ai", a4b4, SearchBudget(3, 3))
+        assert isinstance(cert, ExhaustionCertificate)
+        assert cert.candidates_examined == 3161284
+        assert 0 < cert.nodes_visited and cert.nodes_visited * 10 < cert.candidates_examined
 
     @pytest.mark.parametrize(
         "kind, dfa, caps, nodes",
@@ -300,9 +308,9 @@ def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeyp
     searched = set()
 
     class Recorded(_PairSearch):
-        def __init__(self, ai, a, a1, l, root):
-            searched.add((a1.table, a1.initial, l))
-            super().__init__(ai, a, a1, l, root)
+        def first(self, l, root, canonical_only):
+            searched.add((self.a1.table, self.a1.initial, l))
+            return super().first(l, root, canonical_only)
 
     monkeypatch.setattr(oracle, "_PairSearch", Recorded)
     skips = Counter()
@@ -344,9 +352,10 @@ def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeyp
 @st.composite
 def _search_cases(draw):
     """A trimmed automaton of 1-5 states over 1-2 symbols, a canonical first
-    factor of 1-3 states (accepting its forced set under ai), a second
-    factor size l of 1-3, a walk of canonical tables from initial state 0
-    or of all tables from one initial state in range(l), and a pruning coin."""
+    factor of 1-3 states (accepting its forced set under ai) with its product
+    search order, a second factor size l of 1-3, and a walk of canonical
+    tables from initial state 0 or of all tables from one initial state in
+    range(l)."""
     alphabet = ("a", "b")[: draw(st.integers(1, 2))]
     n = draw(st.integers(1, 5))
     table = tuple(tuple(draw(st.integers(0, n - 1)) for _ in alphabet) for _ in range(n))
@@ -354,43 +363,33 @@ def _search_cases(draw):
     a = trim(Dfa("h", tuple(f"q{i}" for i in range(n)), alphabet, table, 0, accepting))
     ai = draw(st.booleans())
     a1 = draw(st.sampled_from(list(candidate_automata(draw(st.integers(1, 3)), alphabet))))
+    order, _ = _triple_bfs(a, a1, a1)
     if ai:
-        a1 = _forced_accepting(a, a1)
+        forced = frozenset(j for i, j, _ in order if i in a.accepting)
+        a1 = dataclasses.replace(a1, accepting=forced)
     l = draw(st.integers(1, 3))
     canonical = draw(st.booleans())
     root = 0 if canonical else draw(st.integers(0, l - 1))
-    return ai, a, a1, l, canonical, root, draw(st.randoms(use_true_random=False))
+    return ai, a, a1, order, l, canonical, root
 
 
 @settings(max_examples=150, deadline=None)
 @given(_search_cases())
-def test_search_state_after_each_entry_matches_a_fresh_search(case):
-    """Walked depth first, with retractions between siblings and random
-    prunes, the search answers as one that only ever set the current prefix."""
-    ai, a, a1, l, canonical, root, rng = case
-    search = _PairSearch(ai, a, a1, l, root)
-    prefix = []
-
-    def fresh() -> tuple[_PairSearch, bool]:
-        other = _PairSearch(ai, a, a1, l, root)
-        return other, [other.assign(p, v) for p, v in enumerate(prefix)][-1]
-
-    class Checked:
-        depth = 0
-
-        def assign(self, p, v):
-            del prefix[p:]
-            prefix.append(v)
-            self.depth += 1
-            verdict = search.assign(p, v)
-            assert verdict == fresh()[1], prefix
-            return verdict and rng.random() < 0.8
-
-        def retract(self):
-            self.depth -= 1
-            search.retract()
-
-    checked = Checked()
-    for flat in _table_walk(l, len(a.alphabet), canonical, checked):
-        assert search.solution() == fresh()[0].solution(), flat
-    assert checked.depth == 0
+def test_first_table_is_the_first_that_verifies(case):
+    """The search from ``root`` answers with the first walked table that
+    verifies with a1, under ai with the least accepting set in mask order
+    that makes it verify."""
+    ai, a, a1, order, l, canonical, root = case
+    s = len(a.alphabet)
+    expected = None
+    for flat in _table_walk(l, s, canonical):
+        rows = _rows(flat, l, s)
+        for mask in range(2**l) if ai else (0,):
+            accepting = frozenset(k for k in range(l) if mask >> k & 1)
+            a2 = _candidate(a.alphabet, rows, root, accepting)
+            if verify("ai" if ai else "si", a, a1, a2):
+                expected = (rows, root, accepting)
+                break
+        if expected:
+            break
+    assert _PairSearch(ai, a, a1, order).first(l, root, canonical) == expected
