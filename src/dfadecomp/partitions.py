@@ -1,12 +1,12 @@
 """Partitions of a DFA's state set and the lattice of those with the
 substitution property.
 
-A partition is kept in canonical block form (members sorted, blocks sorted by
-least member), so equality and hashing are structural, and ``block_index``
-gives each state's block position.  The lattice algorithms run on leader
-vectors, which name each state's block by its least state: the form that a
-union-find hanging larger roots under smaller ones resolves to, so they never
-renumber.  :class:`Partition` objects are built only for results.  All
+A partition is identified by its leader vector, which names each state's
+block by its least state: the form that a union-find hanging larger roots
+under smaller ones resolves to, so the lattice algorithms never renumber.
+Equality and hashing use it, and every :class:`Partition` is filled from it,
+with its blocks in canonical form (members sorted, blocks sorted by least
+member) and ``block_index`` giving each state's block position.  All
 functions here work on state indexes; name formatting lives in
 :mod:`dfadecomp.textio`.  ``minimize`` is the ``quotient`` by the Moore
 partition, which Hopcroft's algorithm finds in O(|Σ|·n log n).
@@ -76,22 +76,18 @@ def _leq(x: Leaders, y: Leaders) -> bool:
 
 
 class Partition:
-    """A partition of {0, .., n-1} in canonical block form."""
+    """A partition of {0, .., n-1}: its leader vector and canonical blocks."""
 
-    __slots__ = ("blocks", "block_index")
+    __slots__ = ("leaders", "blocks", "block_index")
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        normalized = sorted(tuple(sorted(set(b))) for b in blocks if b)
-        cover: list[int] = [i for b in normalized for i in b]
-        n = len(cover)
-        if sorted(cover) != list(range(n)):
+        members = [(i, k) for k, block in enumerate(blocks) for i in set(block)]
+        label = dict(members)  # member -> position of its block in ``blocks``
+        n = len(label)
+        if n < len(members) or not all(i in label for i in range(n)):
             raise InputError("blocks do not partition the index range exactly")
-        self.blocks: tuple[tuple[int, ...], ...] = tuple(normalized)
-        index = [0] * n
-        for pos, block in enumerate(self.blocks):
-            for i in block:
-                index[i] = pos
-        self.block_index: tuple[int, ...] = tuple(index)
+        pi = Partition._from_leaders(_leaders(map(label.__getitem__, range(n))))
+        self.leaders, self.blocks, self.block_index = pi.leaders, pi.blocks, pi.block_index
 
     @classmethod
     def _from_leaders(cls, leaders: Leaders) -> "Partition":
@@ -102,6 +98,7 @@ class Partition:
             blocks.setdefault(lead, []).append(i)
         position = {lead: k for k, lead in enumerate(blocks)}
         pi = cls.__new__(cls)
+        pi.leaders = leaders
         pi.blocks = tuple(map(tuple, blocks.values()))
         pi.block_index = tuple(map(position.__getitem__, leaders))
         return pi
@@ -134,10 +131,10 @@ class Partition:
         return self.block_index[i] == self.block_index[j]
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Partition) and self.blocks == other.blocks
+        return isinstance(other, Partition) and self.leaders == other.leaders
 
     def __hash__(self) -> int:
-        return hash(self.blocks)
+        return hash(self.leaders)
 
     def __repr__(self) -> str:
         inner = "|".join(",".join(str(i) for i in b) for b in self.blocks)
@@ -153,19 +150,19 @@ def _check_same_ground(p1: Partition, p2: Partition) -> int:
 def meet(p1: Partition, p2: Partition) -> Partition:
     """Coarsest common refinement: blocks are the nonempty block intersections."""
     _check_same_ground(p1, p2)
-    return Partition._from_leaders(_leaders(zip(p1.block_index, p2.block_index)))
+    return Partition._from_leaders(_leaders(zip(p1.leaders, p2.leaders)))
 
 
 def join(p1: Partition, p2: Partition) -> Partition:
     """Finest common coarsening, via union-find over both block structures."""
     _check_same_ground(p1, p2)
-    return Partition._from_leaders(_join(_leaders(p1.block_index), _leaders(p2.block_index)))
+    return Partition._from_leaders(_join(p1.leaders, p2.leaders))
 
 
 def leq(p1: Partition, p2: Partition) -> bool:
     """True iff p1 refines p2 (every block of p1 sits inside a block of p2)."""
     _check_same_ground(p1, p2)
-    return _leq(_leaders(p1.block_index), p2.block_index)
+    return _leq(p1.leaders, p2.leaders)
 
 
 def is_sp(dfa: Dfa, pi: Partition) -> bool:
@@ -208,12 +205,13 @@ def _min_sp_merging_labels(dfa: Dfa, p: int, t: int) -> Leaders:
 
 @dataclass(frozen=True)
 class SpLattice:
-    """Every substitution-property partition of one DFA, with atom provenance.
+    """Every substitution-property partition of one DFA, with its atoms.
 
     ``elements`` run from the finest partition to the coarsest, and ``index``
     maps each element to its position there.
-    ``atoms`` maps each unordered state-name pair to the finest S.P. partition
-    merging that pair; every element of the lattice is a join of atoms.
+    ``atoms`` are the distinct finest S.P. partitions merging one state pair,
+    as elements and in their order; every element of the lattice is a join
+    of atoms.
     ``above[i]`` holds the positions of the distinct joins of
     ``elements[i]`` with an atom that are strictly coarser than it: every
     upper cover of the element is among them, and every strictly coarser
@@ -226,7 +224,7 @@ class SpLattice:
 
     dfa_fingerprint: str
     elements: tuple[Partition, ...]
-    atoms: Mapping[tuple[str, str], Partition]
+    atoms: tuple[Partition, ...]
     above: tuple[tuple[int, ...], ...]
     keys: tuple[int, ...]
     index: Mapping[Partition, int] = field(init=False, repr=False, compare=False)
@@ -252,23 +250,17 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     for the quadratic check.
     """
     n = dfa.n
-    atoms: dict[tuple[str, str], Partition] = {}
-    atom_of: dict[Leaders, Partition] = {}
-    merging: list[tuple[int, int, Leaders]] = []  # one generating pair per distinct atom
+    merging: dict[Leaders, tuple[int, int]] = {}  # each distinct atom -> its first pair
     for p in range(n):
         for t in range(p + 1, n):
-            leaders = _min_sp_merging_labels(dfa, p, t)
-            if leaders not in atom_of:
-                atom_of[leaders] = Partition._from_leaders(leaders)
-                merging.append((p, t, leaders))
-            atoms[(dfa.states[p], dfa.states[t])] = atom_of[leaders]
+            merging.setdefault(_min_sp_merging_labels(dfa, p, t), (p, t))
     bottom = tuple(range(n))
     position = {bottom: 0}
     found = [bottom]
     strictly_above: list[set[int]] = []
     for x in found:  # ``found`` grows while this loop runs; each element is visited once
         ups = set()
-        for p, t, atom in merging:
+        for atom, (p, t) in merging.items():
             if x[p] == x[t]:
                 continue
             z = _join(x, atom)
@@ -296,10 +288,11 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
         range(len(found)), key=lambda k: (-partitions[k].num_blocks, partitions[k].blocks)
     )
     rank = {k: r for r, k in enumerate(order)}
+    elements = tuple(partitions[k] for k in order)
     return SpLattice(
         dfa_fingerprint=dfa.fingerprint(),
-        elements=tuple(partitions[k] for k in order),
-        atoms=atoms,
+        elements=elements,
+        atoms=tuple(pi for pi in elements if pi.leaders in merging),
         above=tuple(tuple(sorted(rank[j] for j in strictly_above[k])) for k in order),
         keys=tuple(keys[k] for k in order),
     )
@@ -349,7 +342,7 @@ def is_distributive(lattice: SpLattice) -> bool:
     join of all elements not above j is the join of the atoms not above j.
     This takes O(|atoms|^2) joins of leader vectors.
     """
-    atoms = [_leaders(pi.block_index) for pi in dict.fromkeys(lattice.atoms.values())]
+    atoms = [pi.leaders for pi in lattice.atoms]
     bottom = tuple(range(lattice.elements[0].n))
     for j in atoms:
         below = rest = bottom

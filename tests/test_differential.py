@@ -27,6 +27,7 @@ from dfadecomp import (
     is_distributive,
     leq,
     meet,
+    min_sp_merging,
     minimize,
     parallel_connection,
     print_dfa,
@@ -93,6 +94,12 @@ def test_index_lattice_matches_oracles(seed):
     assert set(elements) == brute_sp_partitions(a)
     assert len(elements) == len(set(elements))
     assert all(lattice.index[pi] == i for i, pi in enumerate(elements))
+    # The atoms are the distinct pair closures, as elements and in their order.
+    positions = [lattice.index[pi] for pi in lattice.atoms]
+    assert positions == sorted(set(positions))
+    assert all(elements[k] is pi for k, pi in zip(positions, lattice.atoms))
+    pairs = itertools.combinations(a.states, 2)
+    assert set(lattice.atoms) == {min_sp_merging(a, p, t) for p, t in pairs}
 
     fs = [helpers.fs(pi) for pi in elements]
     for i, ups in enumerate(lattice.above):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from dfadecomp import (
     gen_example31,
     gen_example31_partitions,
     gen_grid,
+    gen_lkl,
     gen_ln,
     is_distributive,
     is_sp,
@@ -120,6 +122,16 @@ def _is_leader_vector(v) -> bool:
     return all(v[i] <= i and v[v[i]] == v[i] for i in range(len(v)))
 
 
+def _assert_canonical(pi: Partition, model: helpers.FsPartition) -> None:
+    """pi has the fields of the frozenset model in canonical form: members
+    sorted, blocks by least member, each state led by its block's least member."""
+    blocks = tuple(sorted(tuple(sorted(b)) for b in model))
+    position = {i: k for k, b in enumerate(blocks) for i in b}
+    assert pi.blocks == blocks
+    assert pi.block_index == tuple(position[i] for i in range(len(position)))
+    assert pi.leaders == tuple(blocks[position[i]][0] for i in range(len(position)))
+
+
 class TestLeaderVectors:
     """The private leader-vector helpers against the frozenset model."""
 
@@ -148,8 +160,34 @@ class TestLeaderVectors:
         labels, _ = pair
         pi = Partition._from_leaders(dfadecomp.partitions._leaders(labels))
         assert helpers.fs(pi) == _fs_of(labels)
-        sorted_form = Partition(_fs_of(labels))
-        assert (pi.blocks, pi.block_index) == (sorted_form.blocks, sorted_form.block_index)
+        _assert_canonical(pi, _fs_of(labels))
+
+    @settings(max_examples=150)
+    @given(_labelling_pairs(), st.randoms(use_true_random=False))
+    def test_every_route_gives_one_partition(self, pair, rng):
+        labels, other = pair
+        model = _fs_of(labels)
+        # Blocks in any order, members shuffled and repeated, an empty block.
+        blocks = [sorted(b) + rng.sample(sorted(b), 1) for b in model] + [[]]
+        for block in blocks:
+            rng.shuffle(block)
+        rng.shuffle(blocks)
+        relabel = rng.sample(range(100), 5)
+        routes = [
+            Partition._from_leaders(dfadecomp.partitions._leaders(labels)),
+            Partition(blocks),
+            Partition.from_assignment([relabel[lab] for lab in labels]),
+        ]
+        for pi in routes:
+            _assert_canonical(pi, model)
+            assert pi == routes[0] and hash(pi) == hash(routes[0])
+        y = Partition.from_assignment(other)
+        for got, want in (
+            (meet(routes[1], y), helpers.fs_meet(model, _fs_of(other))),
+            (join(routes[1], y), helpers.fs_join(model, _fs_of(other))),
+        ):
+            _assert_canonical(got, want)
+            assert got == Partition(want) and hash(got) == hash(Partition(want))
 
     @settings(max_examples=100)
     @given(helpers.dfas(), st.data())
@@ -251,16 +289,15 @@ class TestSpLattice:
         for x, y in itertools.combinations(lattice.nontrivial(), 2):
             assert meet(x, y) != zero
 
-    def test_atom_provenance_covers_all_pairs(self):
+    def test_atoms_are_the_distinct_pair_atoms_as_elements(self):
         g = gen_grid(2, 2)
         lattice = sp_lattice(g)
+        # Here every element but the bottom is the atom of some state pair.
+        assert lattice.atoms == lattice.elements[1:]
+        assert all(atom is lattice.elements[lattice.index[atom]] for atom in lattice.atoms)
         assert set(lattice.atoms) == {
-            (g.states[p], g.states[t])
-            for p in range(4)
-            for t in range(p + 1, 4)
+            min_sp_merging(g, p, t) for p, t in itertools.combinations(g.states, 2)
         }
-        for pair, atom in lattice.atoms.items():
-            assert atom == min_sp_merging(g, *pair)
 
 
 class TestMeetClosureSelfCheck:
@@ -305,6 +342,19 @@ class TestMeetClosureSelfCheck:
 class TestRaises:
     def test_repr_lists_the_blocks(self):
         assert repr(Partition([[2, 0], [1]])) == "Partition({0,2|1})"
+
+    @pytest.mark.parametrize("blocks", [[[0], [0]], [[1]], [["a"]]])
+    def test_blocks_must_partition_the_index_range(self, blocks):
+        with pytest.raises(InputError) as exc:
+            Partition(blocks)
+        assert str(exc.value) == "blocks do not partition the index range exactly"
+
+    def test_blocks_are_normalized(self):
+        # Repeats within a block and empty blocks are dropped, members sorted,
+        # blocks ordered by their least member.
+        pi = Partition([[2, 0], [], [1, 1]])
+        assert pi.blocks == ((0, 2), (1,))
+        assert pi.block_index == (0, 1, 0)
 
     def test_quotient_accepting_block_out_of_range(self):
         a = gen_grid(2, 2)
@@ -412,6 +462,37 @@ class TestIsDistributive:
         )
         assert violations
         assert is_distributive(lattice) is False
+
+    @pytest.mark.parametrize("k, l", itertools.product(range(2, 8), repeat=2))
+    def test_lkl_lattice_is_the_subgroup_lattice(self, k, l):
+        # lkl(k,l) is the Cayley automaton of Z_k x Z_l, so its S.P. partitions
+        # are the coset partitions of the subgroups.  Each subgroup is generated
+        # by two elements, and the subgroup lattice of a finite group is
+        # distributive iff the group is cyclic (Ore 1938), iff gcd(k, l) == 1.
+        group = list(itertools.product(range(k), range(l)))
+
+        def add(x, y):
+            return (x[0] + y[0]) % k, (x[1] + y[1]) % l
+
+        def generated(g, h):
+            members, frontier = {(0, 0)}, [(0, 0)]
+            while frontier:
+                x = frontier.pop()
+                for y in (add(x, g), add(x, h)):
+                    if y not in members:
+                        members.add(y)
+                        frontier.append(y)
+            return frozenset(members)
+
+        subgroups = {generated(g, h) for g in group for h in group}
+        cosets = {
+            Partition.from_assignment([frozenset(add(x, y) for y in sub) for x in group])
+            for sub in subgroups
+        }
+        lattice = sp_lattice(gen_lkl(k, l))
+        assert len(lattice.elements) == len(subgroups)
+        assert set(lattice.elements) == cosets
+        assert is_distributive(lattice) == (math.gcd(k, l) == 1)
 
     def test_diamond_from_identity_transitions(self):
         # every partition of three states has S.P. when all symbols self-loop
