@@ -3,7 +3,7 @@
 Subcommands read one DFA document from a file argument or stdin, so they
 compose in pipelines.  Exit codes: 0 success or decomposition found, 1 clean
 "none found" or exhaustion certificate, 2 usage or input error, 3 budget
-refusal.
+refusal, 141 when the reader of stdout closed it early.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -298,7 +299,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _dispatch(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -315,6 +316,22 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head`` does.  The descriptor
+        # now points at the null device, so the interpreter's flush at exit
+        # has nothing to fail on, and the exit code is the one a shell reports
+        # for a process that SIGPIPE ended (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

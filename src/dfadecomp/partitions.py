@@ -203,6 +203,57 @@ def _min_sp_merging_labels(dfa: Dfa, p: int, t: int) -> Leaders:
     return tuple(_resolve(root))
 
 
+def _pair_components(dfa: Dfa) -> list[int]:
+    """The strongly connected component of each state pair p < t, at index
+    ``p*n + t``, in the graph with an edge from (p, t) to the normalised pair
+    (δ(p, a), δ(t, a)) for every symbol a on which the two differ.
+
+    Tarjan's algorithm, run on an explicit stack: a pair graph has
+    n(n-1)/2 nodes, far more than Python's recursion limit.
+    """
+    n, table = dfa.n, dfa.table
+
+    def successors(v: int) -> list[int]:
+        p, t = divmod(v, n)
+        return [x * n + y if x < y else y * n + x for x, y in zip(table[p], table[t]) if x != y]
+
+    order = [-1] * (n * n)  # discovery number, -1 until visited
+    low = [0] * (n * n)
+    component = [-1] * (n * n)  # -1 while unvisited or on the stack
+    stack: list[int] = []
+    visited = components = 0
+    for root in (p * n + t for p in range(n) for t in range(p + 1, n)):
+        if order[root] >= 0:
+            continue
+        order[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        path = [(root, iter(successors(root)))]
+        while path:
+            v, pending = path[-1]
+            for w in pending:
+                if order[w] < 0:
+                    order[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    path.append((w, iter(successors(w))))
+                    break
+                if component[w] < 0:
+                    low[v] = min(low[v], order[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == order[v]:
+                    w = -1
+                    while w != v:
+                        w = stack.pop()
+                        component[w] = components
+                    components += 1
+    return component
+
+
 @dataclass(frozen=True)
 class SpLattice:
     """Every substitution-property partition of one DFA, with its atoms.
@@ -211,11 +262,14 @@ class SpLattice:
     maps each element to its position there.
     ``atoms`` are the distinct finest S.P. partitions merging one state pair,
     as elements and in their order; every element of the lattice is a join
-    of atoms.
+    of atoms.  ``irreducibles`` are the join-irreducible elements, the atoms
+    that are not the join of the atoms strictly below them, in the same
+    order; every element is a join of irreducibles.
     ``above[i]`` holds the positions of the distinct joins of
-    ``elements[i]`` with an atom that are strictly coarser than it: every
-    upper cover of the element is among them, and every strictly coarser
-    element lies above one of them.
+    ``elements[i]`` with an irreducible that are strictly coarser than it.
+    Every upper cover of the element is among them: if y covers x, some
+    irreducible j ≤ y has j ≰ x, and x < x ∨ j ≤ y.  So every strictly
+    coarser element lies above one of them.
     ``keys[i]`` is ``P | S << n*n`` for ``elements[i]`` over n states: P has
     bit ``p*n + t`` for each pair p < t the element merges, so
     P(x ∧ y) = P(x) & P(y) and x ≤ y iff P(x) & ~P(y) == 0; S has bit i for
@@ -225,6 +279,7 @@ class SpLattice:
     dfa_fingerprint: str
     elements: tuple[Partition, ...]
     atoms: tuple[Partition, ...]
+    irreducibles: tuple[Partition, ...]
     above: tuple[tuple[int, ...], ...]
     keys: tuple[int, ...]
     index: Mapping[Partition, int] = field(init=False, repr=False, compare=False)
@@ -240,27 +295,46 @@ class SpLattice:
 
 
 def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
-    """All S.P. partitions of ``dfa``: the atoms for every state pair, closed
-    under join.
+    """All S.P. partitions of ``dfa``: the atoms of the state pairs, closed
+    under join with the join-irreducible ones.
 
     The atom of the pair (p, t) lies below an S.P. partition x exactly when x
-    merges p and t, so the closure joins x only with the atoms it does not
-    already contain.  Closure under meet is a consequence and is re-verified
-    on the pair masks (``SpLattice.keys``) when the lattice is small enough
-    for the quadratic check.
+    merges p and t.  If (p, t) reaches (p', t') in the pair graph of
+    ``_pair_components``, the atom of (p, t) merges p' and t', so the pairs
+    of one strongly connected component share one atom, and one closure per
+    component finds them all.  An atom with first pair (p, t) is
+    join-irreducible exactly when the atoms strictly below it, joined, do
+    not merge p and t.  Every element is a join of irreducibles, so the
+    closure joins x only with the irreducibles it does not already contain.
+    Closure under meet is a consequence and is re-verified on the pair masks
+    (``SpLattice.keys``) when the lattice is small enough for the quadratic
+    check.
     """
     n = dfa.n
+    component = _pair_components(dfa)
+    closed = set()  # the components whose atom is known
     merging: dict[Leaders, tuple[int, int]] = {}  # each distinct atom -> its first pair
     for p in range(n):
         for t in range(p + 1, n):
-            merging.setdefault(_min_sp_merging_labels(dfa, p, t), (p, t))
+            c = component[p * n + t]
+            if c not in closed:
+                closed.add(c)
+                merging.setdefault(_min_sp_merging_labels(dfa, p, t), (p, t))
     bottom = tuple(range(n))
+    irreducible = {}  # the join-irreducible atoms -> their first pairs
+    for j, (p, t) in merging.items():
+        below = bottom
+        for a, (q, u) in merging.items():
+            if a != j and j[q] == j[u]:  # j merges a's first pair, so a < j
+                below = _join(below, a)
+        if below[p] != below[t]:
+            irreducible[j] = (p, t)
     position = {bottom: 0}
     found = [bottom]
     strictly_above: list[set[int]] = []
     for x in found:  # ``found`` grows while this loop runs; each element is visited once
         ups = set()
-        for atom, (p, t) in merging.items():
+        for atom, (p, t) in irreducible.items():
             if x[p] == x[t]:
                 continue
             z = _join(x, atom)
@@ -293,6 +367,7 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
         dfa_fingerprint=dfa.fingerprint(),
         elements=elements,
         atoms=tuple(pi for pi in elements if pi.leaders in merging),
+        irreducibles=tuple(pi for pi in elements if pi.leaders in irreducible),
         above=tuple(tuple(sorted(rank[j] for j in strictly_above[k])) for k in order),
         keys=tuple(keys[k] for k in order),
     )
@@ -335,23 +410,20 @@ def is_distributive(lattice: SpLattice) -> bool:
 
     A finite lattice is distributive iff every join-irreducible element j is
     join-prime, that is j is not below the join of all elements not above it
-    (Davey & Priestley, *Introduction to Lattices and Order*).  Every element
-    is a join of atoms, so the join-irreducibles are the distinct atoms that
-    are not the join of the atoms strictly below them.  An element not above
-    j is the join of the atoms below it, none of which is above j, so the
-    join of all elements not above j is the join of the atoms not above j.
-    This takes O(|atoms|^2) joins of leader vectors.
+    (Davey & Priestley, *Introduction to Lattices and Order*).  An element
+    not above j is the join of the irreducibles below it, none of which is
+    above j, so the join of all elements not above j is the join of the
+    irreducibles not above j.  This takes O(|irreducibles|^2) joins of
+    leader vectors over ``lattice.irreducibles``.
     """
-    atoms = [pi.leaders for pi in lattice.atoms]
+    irreducibles = [pi.leaders for pi in lattice.irreducibles]
     bottom = tuple(range(lattice.elements[0].n))
-    for j in atoms:
-        below = rest = bottom
-        for a in atoms:
+    for j in irreducibles:
+        rest = bottom
+        for a in irreducibles:
             if not _leq(j, a):
                 rest = _join(rest, a)
-                if _leq(a, j):
-                    below = _join(below, a)
-        if below != j and _leq(j, rest):
+        if _leq(j, rest):
             return False
     return True
 

@@ -1,9 +1,14 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dfadecomp
 from dfadecomp import (
     decompose_ai_sufficient,
     decompose_asb,
@@ -224,6 +229,39 @@ class TestExitCodes:
         )
         assert code == 0
         assert len(parse_dfas(out.split("\n", 1)[1])) == 2
+
+
+class TestBrokenPipe:
+    """A reader that closes stdout early, as ``| head -1`` does, ends the
+    process with exit 141 and nothing on stderr: no traceback, and no
+    "Exception ignored" line from the interpreter's flush at exit."""
+
+    @pytest.mark.parametrize(
+        "argv, document, first",
+        [
+            (["lattice"], gen_grid(5, 5), b"# 1506 substitution-property partitions of grid5x5\n"),
+            (["decompose", "--kind", "sb"], gen_grid(3, 5), b"# 680 sb decomposition(s) of grid3x5\n"),
+        ],
+    )
+    def test_closed_stdout_ends_quietly(self, argv, document, first):
+        # Each output is more than twice a 64 KiB pipe buffer, so the process is
+        # still writing when the reader closes its end.
+        env = dict(os.environ, PYTHONPATH=str(Path(dfadecomp.__file__).parents[1]))
+        child = subprocess.Popen(
+            [sys.executable, "-m", "dfadecomp.cli", *argv],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        child.stdin.write(print_dfa(document).encode())
+        child.stdin.close()
+        assert child.stdout.readline() == first
+        child.stdout.close()
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 141
+        assert err == b""
 
 
 class TestJsonReport:

@@ -1,5 +1,6 @@
 """Fast paths against their oracles on seeded and drawn random automata: the index
-lattice, its join steps, its pair-mask keys, the emission conditions,
+lattice, its pair-graph components, its join-irreducibles and join steps, its
+pair-mask keys, the emission conditions,
 redundancy and distributivity against brute force, and ``verify``,
 ``minimize`` and the product search against their earlier forms in helpers."""
 
@@ -22,8 +23,13 @@ from dfadecomp import (
     decompose_asb,
     decompose_sb,
     decompose_wai_sufficient,
+    gen_a4b4_triple,
+    gen_example31,
     gen_grid,
     gen_k_extension,
+    gen_lkl,
+    gen_ln,
+    gen_sb_not_asb,
     is_distributive,
     leq,
     meet,
@@ -38,6 +44,7 @@ from dfadecomp import (
 )
 from dfadecomp.automata import _triple_bfs, reachable_indexes
 from dfadecomp.decompositions import _emission_condition
+from dfadecomp.partitions import _pair_components
 
 import helpers
 
@@ -114,6 +121,66 @@ def test_index_lattice_matches_oracles(seed):
 
     if len(elements) <= TRIPLE_ORACLE_LIMIT:
         assert is_distributive(lattice) == helpers.distributive_by_triples(lattice)
+
+
+FIXTURES = [
+    gen_grid(2, 3),
+    gen_grid(3, 3),
+    gen_lkl(2, 3),
+    gen_lkl(4, 4),
+    gen_lkl(4, 6),
+    gen_ln(4),
+    gen_ln(6),
+    gen_sb_not_asb(),
+    *gen_example31(),
+    *gen_a4b4_triple(),
+]
+LATTICE_INPUTS = [_random_trimmed(seed) for seed in range(90)] + FIXTURES
+
+
+@pytest.mark.parametrize("a", LATTICE_INPUTS, ids=lambda a: a.name)
+def test_pair_components_are_mutual_reachability_and_share_one_atom(a):
+    n = a.n
+    pairs = list(itertools.combinations(range(n), 2))
+    reach = {}  # pair -> every pair it reaches in the pair graph, itself included
+    for pair in pairs:
+        seen, frontier = {pair}, [pair]
+        while frontier:
+            p, t = frontier.pop()
+            for x, y in zip(a.table[p], a.table[t]):
+                step = (min(x, y), max(x, y))
+                if x != y and step not in seen:
+                    seen.add(step)
+                    frontier.append(step)
+        reach[pair] = seen
+    component = _pair_components(a)
+    for u, v in itertools.product(pairs, repeat=2):
+        same = component[u[0] * n + u[1]] == component[v[0] * n + v[1]]
+        assert same == (v in reach[u] and u in reach[v]), (u, v)
+        if same:
+            atoms = [min_sp_merging(a, a.states[p], a.states[t]) for p, t in (u, v)]
+            assert atoms[0] == atoms[1], (u, v)
+
+
+@pytest.mark.parametrize("a", LATTICE_INPUTS, ids=lambda a: a.name)
+def test_irreducibles_and_join_steps_match_the_covers(a):
+    lattice = sp_lattice(a)
+    fs = [helpers.fs(pi) for pi in lattice.elements]
+    size = len(fs)
+    below = [[i != k and helpers.fs_refines(fs[i], fs[k]) for k in range(size)] for i in range(size)]
+    covers = {  # (lower, upper) for each covering pair, by brute force over the elements
+        (i, k)
+        for i, k in itertools.permutations(range(size), 2)
+        if below[i][k] and not any(below[i][m] and below[m][k] for m in range(size))
+    }
+    lower_covers = [sum((i, k) in covers for i in range(size)) for k in range(size)]
+    irreducible = [k for k in range(size) if lower_covers[k] == 1]
+    assert [lattice.index[pi] for pi in lattice.irreducibles] == irreducible
+    for i, ups in enumerate(lattice.above):
+        assert {k for k in range(size) if (i, k) in covers} <= set(ups), i
+        joins = {helpers.fs_join(fs[i], fs[j]) for j in irreducible} - {fs[i]}
+        assert {fs[k] for k in ups} == joins, i
+        assert len(ups) == len(joins)
 
 
 @settings(max_examples=150, deadline=None)
