@@ -200,13 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     dfa = _load_dfa(args.input)
     budget = SearchBudget(args.max1, args.max2, canonical_only=not args.all_candidates)
-    eff1 = min(budget.max_states_1, dfa.n - 1)
-    eff2 = min(budget.max_states_2, dfa.n - 1)
-    estimate = 0
-    if eff1 >= 1 and eff2 >= 1:
-        estimate = estimate_search_space(
-            len(dfa.alphabet), SearchBudget(eff1, eff2, budget.canonical_only), args.kind
-        )
+    estimate = estimate_search_space(dfa, budget, args.kind)
     print(f"# search space estimate: {estimate}", file=sys.stderr)
     result = certify_undecomposable(args.kind, dfa, budget)
     if isinstance(result, ExhaustionCertificate):

@@ -96,19 +96,23 @@ class ExhaustionCertificate:
     nodes_visited: int
 
 
+def _caps(dfa: Dfa, budget: SearchBudget) -> tuple[int, int]:
+    """The budget's caps clamped below the automaton's state count, since only
+    pairs of strictly smaller automata are of interest; 0 for one state."""
+    return min(budget.max_states_1, dfa.n - 1), min(budget.max_states_2, dfa.n - 1)
+
+
 def estimate_search_space(
-    alphabet_size: int,
+    dfa: Dfa,
     budget: SearchBudget,
     kind: "DecompositionKind | str" = DecompositionKind.WAI,
 ) -> int:
-    """Upper bound on the number of candidate pairs the budget allows: the
-    pair count over all ``k**(s*k)`` transition tables of each size k."""
+    """Upper bound on the number of candidate pairs the search for ``dfa``
+    may examine: the pair count within the clamped caps over all
+    ``k**(s*k)`` transition tables of each size k, 0 if a cap clamps to 0."""
+    s = len(dfa.alphabet)
     return _pair_count(
-        budget.max_states_1,
-        budget.max_states_2,
-        budget.canonical_only,
-        _as_kind(kind),
-        lambda k: k ** (alphabet_size * k),
+        *_caps(dfa, budget), budget.canonical_only, _as_kind(kind), lambda k: k ** (s * k)
     )
 
 
@@ -367,11 +371,10 @@ def certify_undecomposable(
     if kind not in (DecompositionKind.AI, DecompositionKind.SI, DecompositionKind.WAI):
         raise InputError("undecomposability search supports the ai, si and wai kinds")
     _require_reachable(dfa, kind)
-    eff1 = min(budget.max_states_1, dfa.n - 1)
-    eff2 = min(budget.max_states_2, dfa.n - 1)
+    eff1, eff2 = _caps(dfa, budget)
     s = len(dfa.alphabet)
     canonical = budget.canonical_only
-    estimate = _pair_count(eff1, eff2, canonical, kind, lambda k: k ** (s * k))
+    estimate = estimate_search_space(dfa, budget, kind)
     if estimate > FEASIBILITY_BOUND:
         raise BudgetError(
             f"estimated candidate count {estimate} exceeds the feasibility "
@@ -379,9 +382,9 @@ def certify_undecomposable(
             estimate=estimate,
         )
     ai = kind is DecompositionKind.AI
-    minimal = minimize(dfa)[0]
-    target = minimal if kind is DecompositionKind.WAI else dfa
-    least = (dfa if kind is DecompositionKind.SI else minimal).n
+    # M for wai and ai; si reads only A, so it is not minimized
+    m = dfa if kind is DecompositionKind.SI else minimize(dfa)[0]
+    target = dfa if ai else m
     nodes = 0
     for k in range(1, eff1 + 1):
         firsts = []  # (the least l a1 may pair with, the search of a1)
@@ -398,7 +401,7 @@ def certify_undecomposable(
             if least_l <= eff2:
                 firsts.append((least_l, _PairSearch(ai, target, a1, order)))
         for l in range(1, eff2 + 1):
-            if l < k <= eff2 or k * l < least:
+            if l < k <= eff2 or k * l < m.n:
                 continue
             for least_l, search in firsts:
                 if l < least_l:

@@ -203,13 +203,16 @@ def _min_sp_merging_labels(dfa: Dfa, p: int, t: int) -> Leaders:
     return tuple(_resolve(root))
 
 
-def _pair_components(dfa: Dfa) -> list[int]:
-    """The strongly connected component of each state pair p < t, at index
-    ``p*n + t``, in the graph with an edge from (p, t) to the normalised pair
-    (δ(p, a), δ(t, a)) for every symbol a on which the two differ.
+def _pair_components(dfa: Dfa) -> list[tuple[int, int]]:
+    """One state pair p < t from each strongly connected component of the
+    graph with an edge from (p, t) to the normalised pair (δ(p, a), δ(t, a))
+    for every symbol a on which the two differ.
 
-    Tarjan's algorithm, run on an explicit stack: a pair graph has
-    n(n-1)/2 nodes, far more than Python's recursion limit.
+    Tarjan's algorithm meets each component once, at its root, and the root
+    stands for it.  It runs on an explicit stack: a pair graph has n(n-1)/2
+    nodes, far more than Python's recursion limit.  A finished pair's
+    discovery number is raised past every other, so it no longer lowers a
+    low-link.
     """
     n, table = dfa.n, dfa.table
 
@@ -217,11 +220,12 @@ def _pair_components(dfa: Dfa) -> list[int]:
         p, t = divmod(v, n)
         return [x * n + y if x < y else y * n + x for x, y in zip(table[p], table[t]) if x != y]
 
-    order = [-1] * (n * n)  # discovery number, -1 until visited
-    low = [0] * (n * n)
-    component = [-1] * (n * n)  # -1 while unvisited or on the stack
+    finished = n * n
+    order = [-1] * finished  # discovery number, -1 until visited, ``finished`` once done
+    low = [0] * finished
     stack: list[int] = []
-    visited = components = 0
+    roots = []
+    visited = 0
     for root in (p * n + t for p in range(n) for t in range(p + 1, n)):
         if order[root] >= 0:
             continue
@@ -238,33 +242,31 @@ def _pair_components(dfa: Dfa) -> list[int]:
                     stack.append(w)
                     path.append((w, iter(successors(w))))
                     break
-                if component[w] < 0:
-                    low[v] = min(low[v], order[w])
+                low[v] = min(low[v], order[w])
             else:
                 path.pop()
                 if path:
                     u = path[-1][0]
                     low[u] = min(low[u], low[v])
                 if low[v] == order[v]:
+                    roots.append(divmod(v, n))
                     w = -1
                     while w != v:
                         w = stack.pop()
-                        component[w] = components
-                    components += 1
-    return component
+                        order[w] = finished
+    return roots
 
 
 @dataclass(frozen=True)
 class SpLattice:
-    """Every substitution-property partition of one DFA, with its atoms.
+    """Every substitution-property partition of one DFA, with its irreducibles.
 
     ``elements`` run from the finest partition to the coarsest, and ``index``
     maps each element to its position there.
-    ``atoms`` are the distinct finest S.P. partitions merging one state pair,
-    as elements and in their order; every element of the lattice is a join
-    of atoms.  ``irreducibles`` are the join-irreducible elements, the atoms
-    that are not the join of the atoms strictly below them, in the same
-    order; every element is a join of irreducibles.
+    ``irreducibles`` are the join-irreducible elements, in the same order:
+    the atoms, the finest S.P. partitions merging one state pair
+    (``min_sp_merging``), that are not the join of the atoms strictly below
+    them.  Every element is a join of atoms, and so of irreducibles.
     ``above[i]`` holds the positions of the distinct joins of
     ``elements[i]`` with an irreducible that are strictly coarser than it.
     Every upper cover of the element is among them: if y covers x, some
@@ -278,7 +280,6 @@ class SpLattice:
 
     dfa_fingerprint: str
     elements: tuple[Partition, ...]
-    atoms: tuple[Partition, ...]
     irreducibles: tuple[Partition, ...]
     above: tuple[tuple[int, ...], ...]
     keys: tuple[int, ...]
@@ -302,30 +303,24 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     merges p and t.  If (p, t) reaches (p', t') in the pair graph of
     ``_pair_components``, the atom of (p, t) merges p' and t', so the pairs
     of one strongly connected component share one atom, and one closure per
-    component finds them all.  An atom with first pair (p, t) is
-    join-irreducible exactly when the atoms strictly below it, joined, do
-    not merge p and t.  Every element is a join of irreducibles, so the
+    component finds them all.  An atom is join-irreducible exactly when the
+    atoms strictly below it, joined, do not merge a pair it is the atom of;
+    any such pair serves.  Every element is a join of irreducibles, so the
     closure joins x only with the irreducibles it does not already contain.
     Closure under meet is a consequence and is re-verified on the pair masks
-    (``SpLattice.keys``) when the lattice is small enough for the quadratic
-    check.
+    (``SpLattice.keys``) up to 1000 elements.  The check is quadratic: at 877
+    elements it costs more than the closure, at 4140 almost five times as much.
     """
     n = dfa.n
-    component = _pair_components(dfa)
-    closed = set()  # the components whose atom is known
-    merging: dict[Leaders, tuple[int, int]] = {}  # each distinct atom -> its first pair
-    for p in range(n):
-        for t in range(p + 1, n):
-            c = component[p * n + t]
-            if c not in closed:
-                closed.add(c)
-                merging.setdefault(_min_sp_merging_labels(dfa, p, t), (p, t))
+    merging: dict[Leaders, tuple[int, int]] = {}  # each distinct atom -> a pair it is the atom of
+    for p, t in _pair_components(dfa):
+        merging.setdefault(_min_sp_merging_labels(dfa, p, t), (p, t))
     bottom = tuple(range(n))
-    irreducible = {}  # the join-irreducible atoms -> their first pairs
+    irreducible = {}  # the join-irreducible atoms -> their pairs
     for j, (p, t) in merging.items():
         below = bottom
         for a, (q, u) in merging.items():
-            if a != j and j[q] == j[u]:  # j merges a's first pair, so a < j
+            if a != j and j[q] == j[u]:  # j merges a's pair, so a < j
                 below = _join(below, a)
         if below[p] != below[t]:
             irreducible[j] = (p, t)
@@ -366,7 +361,6 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     return SpLattice(
         dfa_fingerprint=dfa.fingerprint(),
         elements=elements,
-        atoms=tuple(pi for pi in elements if pi.leaders in merging),
         irreducibles=tuple(pi for pi in elements if pi.leaders in irreducible),
         above=tuple(tuple(sorted(rank[j] for j in strictly_above[k])) for k in order),
         keys=tuple(keys[k] for k in order),

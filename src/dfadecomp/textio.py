@@ -172,13 +172,9 @@ def parse_partition(text: str, dfa: Dfa) -> Partition:
     for chunk in body[1:-1].split("|"):
         names = [tok.strip() for tok in chunk.split(",") if tok.strip()]
         blocks.append([dfa.state_index(q) for q in names])
-    try:
-        pi = Partition(blocks)
-    except InputError:
-        raise InputError("partition literal does not cover every state exactly once") from None
-    if pi.n != dfa.n:
+    if sorted(i for block in blocks for i in block) != list(range(dfa.n)):
         raise InputError("partition literal does not cover every state exactly once")
-    return pi
+    return Partition(blocks)
 
 
 def _quote(token: str) -> str:

@@ -309,12 +309,9 @@ def certify_by_enumeration(kind, dfa: Dfa, budget: SearchBudget):
         raise InputError(f"{kind.value} certification requires a trimmed automaton")
     eff1 = min(budget.max_states_1, dfa.n - 1)
     eff2 = min(budget.max_states_2, dfa.n - 1)
-    estimate = 0
-    if eff1 >= 1 and eff2 >= 1:
-        effective = SearchBudget(eff1, eff2, budget.canonical_only)
-        estimate = estimate_search_space(len(dfa.alphabet), effective, kind)
-        if estimate > FEASIBILITY_BOUND:
-            raise BudgetError("estimate exceeds the feasibility bound", estimate=estimate)
+    estimate = estimate_search_space(dfa, budget, kind)
+    if estimate > FEASIBILITY_BOUND:
+        raise BudgetError("estimate exceeds the feasibility bound", estimate=estimate)
     by_size = {
         k: list(
             candidates_by_product(

@@ -187,6 +187,32 @@ class TestExitCodes:
         )
         assert (code, out, err) == (2, "", "error: budget caps must be at least 1\n")
 
+    def test_oracle_caps_clamped_to_zero_examine_nothing(self, capsys, monkeypatch):
+        # One state leaves no strictly smaller automaton: both caps clamp to 0.
+        code, doc, _ = run_cli(capsys, ["gen", "--family", "ln", "--n", "1"])
+        assert code == 0
+        code, out, err = run_cli(
+            capsys,
+            ["oracle", "--kind", "si", "--max1", "3", "--max2", "3"],
+            stdin=doc,
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out, err) == (
+            1,
+            "si: no decomposition up to sizes (0, 0); 0 candidate pairs examined\n",
+            "# search space estimate: 0\n",
+        )
+
+    def test_dot_partition_naming_a_state_twice_is_exit_two(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys,
+            ["dot", "--partition", "{q0_0,q0_0|q0_1|q1_0,q1_1}"],
+            stdin=print_dfa(gen_grid(2, 2)),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: partition literal does not cover every state exactly once\n"
+
     def test_malformed_input_is_exit_two(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys, ["minimize"], stdin="dfa x\nbogus\n", monkeypatch=monkeypatch

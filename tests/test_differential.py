@@ -101,12 +101,6 @@ def test_index_lattice_matches_oracles(seed):
     assert set(elements) == brute_sp_partitions(a)
     assert len(elements) == len(set(elements))
     assert all(lattice.index[pi] == i for i, pi in enumerate(elements))
-    # The atoms are the distinct pair closures, as elements and in their order.
-    positions = [lattice.index[pi] for pi in lattice.atoms]
-    assert positions == sorted(set(positions))
-    assert all(elements[k] is pi for k, pi in zip(positions, lattice.atoms))
-    pairs = itertools.combinations(a.states, 2)
-    assert set(lattice.atoms) == {min_sp_merging(a, p, t) for p, t in pairs}
 
     fs = [helpers.fs(pi) for pi in elements]
     for i, ups in enumerate(lattice.above):
@@ -139,9 +133,8 @@ LATTICE_INPUTS = [_random_trimmed(seed) for seed in range(90)] + FIXTURES
 
 
 @pytest.mark.parametrize("a", LATTICE_INPUTS, ids=lambda a: a.name)
-def test_pair_components_are_mutual_reachability_and_share_one_atom(a):
-    n = a.n
-    pairs = list(itertools.combinations(range(n), 2))
+def test_pair_components_give_one_root_per_mutual_reachability_class(a):
+    pairs = list(itertools.combinations(range(a.n), 2))
     reach = {}  # pair -> every pair it reaches in the pair graph, itself included
     for pair in pairs:
         seen, frontier = {pair}, [pair]
@@ -153,13 +146,14 @@ def test_pair_components_are_mutual_reachability_and_share_one_atom(a):
                     seen.add(step)
                     frontier.append(step)
         reach[pair] = seen
-    component = _pair_components(a)
-    for u, v in itertools.product(pairs, repeat=2):
-        same = component[u[0] * n + u[1]] == component[v[0] * n + v[1]]
-        assert same == (v in reach[u] and u in reach[v]), (u, v)
-        if same:
-            atoms = [min_sp_merging(a, a.states[p], a.states[t]) for p, t in (u, v)]
-            assert atoms[0] == atoms[1], (u, v)
+    classes = {frozenset(v for v in reach[u] if u in reach[v]) for u in pairs}
+    roots = _pair_components(a)
+    assert all(u in reach for u in roots)  # each root is a state pair p < t
+    assert len(roots) == len(classes)
+    assert {c for c in classes for u in roots if u in c} == classes
+    for c in classes:
+        atoms = {min_sp_merging(a, a.states[p], a.states[t]) for p, t in c}
+        assert len(atoms) == 1, sorted(c)
 
 
 @pytest.mark.parametrize("a", LATTICE_INPUTS, ids=lambda a: a.name)

@@ -77,20 +77,25 @@ class TestEstimate:
     def test_unary_three_by_three(self):
         budget = SearchBudget(3, 3, canonical_only=False)
         # hand expansion: (1**1*1 + 2**2*2 + 3**3*3) squared
-        assert estimate_search_space(1, budget) == (1 + 8 + 81) ** 2
-        assert estimate_search_space(1, budget) == 8100
+        assert estimate_search_space(gen_ln(9), budget) == (1 + 8 + 81) ** 2
+        assert estimate_search_space(gen_ln(9), budget) == 8100
 
     def test_one_by_one_is_one(self):
-        assert estimate_search_space(1, SearchBudget(1, 1, canonical_only=False)) == 1
-        assert estimate_search_space(2, SearchBudget(1, 1)) == 1
+        assert estimate_search_space(gen_ln(9), SearchBudget(1, 1, canonical_only=False)) == 1
+        assert estimate_search_space(gen_grid(3, 3), SearchBudget(1, 1)) == 1
 
     def test_binary_two_by_two_ai(self):
         budget = SearchBudget(2, 2, canonical_only=False)
         # hand expansion: (1**2*1*2 + 2**4*2*4) squared
-        assert estimate_search_space(2, budget, "ai") == (2 + 128) ** 2
+        assert estimate_search_space(gen_grid(3, 3), budget, "ai") == (2 + 128) ** 2
 
     def test_canonical_drops_the_initial_state_factor(self):
-        assert estimate_search_space(1, SearchBudget(3, 3)) == (1 + 4 + 27) ** 2
+        assert estimate_search_space(gen_ln(9), SearchBudget(3, 3)) == (1 + 4 + 27) ** 2
+
+    def test_caps_clamp_below_the_state_count(self):
+        # four states clamp both caps to 3; one state clamps them to 0
+        assert estimate_search_space(gen_ln(4), SearchBudget(5, 8)) == (1 + 4 + 27) ** 2
+        assert estimate_search_space(gen_ln(1), SearchBudget(3, 3)) == 0
 
 
 class TestCandidates:
@@ -247,10 +252,7 @@ def _random_case(seed: int, canonical_only: bool):
     kind = ("ai", "si", "wai")[seed % 3]
     while True:
         budget = SearchBudget(rng.randint(1, 3), rng.randint(1, 2), canonical_only)
-        effective = SearchBudget(
-            min(budget.max_states_1, a.n - 1), min(budget.max_states_2, a.n - 1), canonical_only
-        )
-        if estimate_search_space(len(alphabet), effective, kind) <= ENUMERATION_CAP:
+        if estimate_search_space(a, budget, kind) <= ENUMERATION_CAP:
             return kind, a, budget
 
 

@@ -289,16 +289,6 @@ class TestSpLattice:
         for x, y in itertools.combinations(lattice.nontrivial(), 2):
             assert meet(x, y) != zero
 
-    def test_atoms_are_the_distinct_pair_atoms_as_elements(self):
-        g = gen_grid(2, 2)
-        lattice = sp_lattice(g)
-        # Here every element but the bottom is the atom of some state pair.
-        assert lattice.atoms == lattice.elements[1:]
-        assert all(atom is lattice.elements[lattice.index[atom]] for atom in lattice.atoms)
-        assert set(lattice.atoms) == {
-            min_sp_merging(g, p, t) for p, t in itertools.combinations(g.states, 2)
-        }
-
 
 class TestMeetClosureSelfCheck:
     """``sp_lattice`` re-checks closure under meet on its pair masks.  On four

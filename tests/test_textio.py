@@ -306,6 +306,16 @@ class TestPartitionLiterals:
         with pytest.raises(InputError):
             parse_partition("a0,a1|b0", a_prime)
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["{q0_0,q0_0|q0_1|q1_0,q1_1}", "{q0_0|q0_0,q0_1|q1_0,q1_1}", "{q0_0,q0_1|q1_0}"],
+        ids=["repeat-in-one-block", "repeat-across-blocks", "missing-state"],
+    )
+    def test_every_state_exactly_once(self, literal):
+        with pytest.raises(InputError) as exc:
+            parse_partition(literal, gen_grid(2, 2))
+        assert str(exc.value) == "partition literal does not cover every state exactly once"
+
 
 class TestDot:
     def test_one_state_all_accepting_has_one_doublecircle(self):
