@@ -4,9 +4,12 @@ States and symbols are opaque string tokens at the API surface; internally
 every automaton is stored as a dense transition table indexed by position so
 that searches over many small automata stay cheap.
 
-``_triple_bfs`` is the package's one product search: equivalence, reachable
-configurations and every decomposition check run A, A1 and A2 in parallel
-through it.  It keeps no BFS parents: a reported word comes from a second search.
+``_triple_bfs`` is the package's product search for languages: equivalence,
+reachable configurations, the oracle and the language checks of ``verify``
+run A, A1 and A2 in parallel through it.  It keeps no BFS parents: a
+reported word comes from a second search.  ``_pair_states`` is the search
+for the state kinds: it walks the (A1, A2) pairs and keeps one state of A
+per pair, plus the others that meet it.
 This bottom layer imports nothing above it: ``minimize`` is in ``partitions``.
 """
 
@@ -266,6 +269,47 @@ def _triple_bfs(a: Dfa, a1: Dfa, a2: Dfa):
         return tuple(reversed(word))
 
     return order, word_to
+
+
+def _pair_states(a: Dfa, a1: Dfa, a2: Dfa):
+    """The (A1, A2) pairs reachable by a common word, keyed ``j * a2.n + k``:
+    ``first`` maps each, in BFS order, to A's state on the pair's
+    shortlex-least word, and ``more`` to A's other states met with it.  With
+    symbols in A's order the BFS reaches each pair at that word, where
+    ``_triple_bfs`` first meets it, so ``first`` is that search's first-triple
+    map, at one int per pair."""
+    cols1 = _require_same_alphabet(a, a1)
+    cols2 = _require_same_alphabet(a, a2)
+    t1, t2 = list(zip(*a1.table)), list(zip(*a2.table))
+    columns = list(zip(zip(*a.table), (t1[c] for c in cols1), (t2[c] for c in cols2)))
+    n2 = a2.n
+    start = a1.initial * n2 + a2.initial
+    first = {start: a.initial}
+    more: dict[int, set[int]] = {}
+    extra = []  # configurations (state, pair) off the first states, to close over
+
+    def meet(i: int, pair: int) -> None:
+        if i != first[pair] and i not in more.setdefault(pair, set()):
+            more[pair].add(i)
+            extra.append((i, pair))
+
+    order = [start]
+    for pair in order:  # ``order`` grows while this loop runs
+        j, k = divmod(pair, n2)
+        i = first[pair]
+        for ca, c1, c2 in columns:
+            nxt = c1[j] * n2 + c2[k]
+            f = first.get(nxt)
+            if f is None:
+                first[nxt] = ca[i]
+                order.append(nxt)
+            elif f != ca[i]:
+                meet(ca[i], nxt)
+    for i, pair in extra:  # ``extra`` grows while this loop runs
+        j, k = divmod(pair, n2)
+        for ca, c1, c2 in columns:
+            meet(ca[i], c1[j] * n2 + c2[k])
+    return first, more
 
 
 def difference_witness(a: Dfa, b: Dfa) -> tuple[str, ...] | None:

@@ -10,8 +10,8 @@ A decomposition of an automaton A is a pair (A1, A2) read in parallel:
 * ``asb`` -- ``sb`` with acceptance carried along blockwise.
 
 Constructive enumeration works over the lattice of substitution-property
-partitions; verification works by a joint breadth-first search of the triple
-product, so each returned witness is checked on every reachable configuration.
+partitions; verification works by a joint breadth-first search of the factors
+with A, so each returned witness is checked on every reachable configuration.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .automata import Dfa, _triple_bfs, reachable_indexes
+from .automata import Dfa, _pair_states, _triple_bfs, reachable_indexes
 from .errors import InputError
 from .partitions import (
     Partition,
@@ -115,19 +115,26 @@ def verify(
     :class:`Refusal` naming a counterexample word or state pair.  The kinds
     ``si``, ``wai``, ``sb`` and ``asb`` are only defined here for automata
     without unreachable states; language-level ``ai`` has no such restriction.
-    For those kinds each reachable pair keeps the first state it reaches, and
-    the refused pair is the earliest reached one that meets a second state
-    (for ``wai``, one that differs on acceptance).  The word of an ``ai`` or
-    ``asb`` refusal comes from a second search that stops at the refused triple.
+    ``ai`` and the language half of ``asb`` search A with the factors'
+    minimal automata; the word of a refusal, the shortlex-least one on which
+    the languages differ, comes from a second search that stops at the
+    refused triple.  The state kinds search the reachable factor pairs once
+    (``_pair_states``): each pair keeps the first state it reaches, and the
+    refused pair is the earliest reached one that meets a second state (for
+    ``wai``, one that differs on acceptance).
     """
     kind = _as_kind(kind)
     _require_reachable(a, kind)
-    order, word_to = _triple_bfs(a, a1, a2)
 
     if kind in (DecompositionKind.AI, DecompositionKind.ASB):
+        # The test reads only L(a1) and L(a2), so it runs on their minimal
+        # automata: the first triple to disagree is still met at the
+        # shortlex-least word on which L(a) and L(a1) ∩ L(a2) differ.
+        m1, m2 = minimize(a1)[0], minimize(a2)[0]
+        order, word_to = _triple_bfs(a, m1, m2)
         for triple in order:
             i, j, k = triple
-            if (i in a.accepting) != (j in a1.accepting and k in a2.accepting):
+            if (i in a.accepting) != (j in m1.accepting and k in m2.accepting):
                 word = word_to(triple)
                 return Refusal(
                     f"languages differ on word {''.join(word) or '(empty)'!r}", word
@@ -136,23 +143,22 @@ def verify(
             return Decomposition(kind, a1, a2, None)
 
     # Each reachable pair (j, k), keyed j * n2 + k, keeps the first state it reaches;
-    # one that later meets another state (under wai, of the other acceptance) clashes.
+    # one that also meets another state (under wai, of the other acceptance) clashes.
     wai = kind is DecompositionKind.WAI
     n2 = a2.n
-    first: dict[int, int] = {}
-    clashing = set()
-    for i, j, k in order:
-        pair = j * n2 + k
-        f = first.setdefault(pair, i)
-        if f != i and (not wai or (f in a.accepting) != (i in a.accepting)):
-            clashing.add(pair)
+    first, more = _pair_states(a, a1, a2)
+    clashing = {
+        p
+        for p, others in more.items()
+        if not wai or any((i in a.accepting) != (first[p] in a.accepting) for i in others)
+    }
 
     def named(pair: int) -> tuple[str, str]:
         return a1.states[pair // n2], a2.states[pair % n2]
 
     if clashing:
         pair = next(p for p in first if p in clashing)
-        states = {a.states[i] for i, j, k in order if j * n2 + k == pair}
+        states = {a.states[i] for i in more[pair] | {first[pair]}}
         reason = (
             "reachable pair maps to states disagreeing on acceptance"
             if wai

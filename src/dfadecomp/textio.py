@@ -171,6 +171,8 @@ def parse_partition(text: str, dfa: Dfa) -> Partition:
     blocks = []
     for chunk in body[1:-1].split("|"):
         names = [tok.strip() for tok in chunk.split(",") if tok.strip()]
+        if not names:
+            raise InputError("partition literal has an empty block")
         blocks.append([dfa.state_index(q) for q in names])
     if sorted(i for block in blocks for i in block) != list(range(dfa.n)):
         raise InputError("partition literal does not cover every state exactly once")

@@ -54,10 +54,10 @@ def dfas(draw):
     return Dfa("h", tuple(f"q{i}" for i in range(n)), ("a", "b"), table, initial, acc)
 
 
-def length_counter(p: int, accepting, name: str) -> Dfa:
-    """Counter of word length modulo p over {a, b}, accepting the given residues."""
-    return Dfa(name, tuple(f"c{i}" for i in range(p)), ("a", "b"),
-               tuple(((i + 1) % p, (i + 1) % p) for i in range(p)), 0, frozenset(accepting))
+def length_counter(p: int, accepting, name: str, alphabet=("a", "b")) -> Dfa:
+    """Counter of word length modulo p, accepting the given residues."""
+    return Dfa(name, tuple(f"c{i}" for i in range(p)), tuple(alphabet),
+               tuple(((i + 1) % p,) * len(alphabet) for i in range(p)), 0, frozenset(accepting))
 
 
 def words_up_to(alphabet, max_len):

@@ -213,6 +213,16 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: partition literal does not cover every state exactly once\n"
 
+    @pytest.mark.parametrize("literal", ["{q0_0,q0_1||q1_0,q1_1}", "{q0_0,q0_1|q1_0,q1_1|}"])
+    def test_dot_partition_with_an_empty_block_is_exit_two(self, capsys, monkeypatch, literal):
+        code, out, err = run_cli(
+            capsys,
+            ["dot", "--partition", literal],
+            stdin=print_dfa(gen_grid(2, 2)),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, out, err) == (2, "", "error: partition literal has an empty block\n")
+
     def test_malformed_input_is_exit_two(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys, ["minimize"], stdin="dfa x\nbogus\n", monkeypatch=monkeypatch

@@ -38,7 +38,7 @@ from dfadecomp import (
     trim,
     verify,
 )
-from dfadecomp import Dfa
+from dfadecomp import Dfa, decompositions
 from dfadecomp.automata import reachable_indexes
 
 import helpers
@@ -148,8 +148,9 @@ class TestVerify:
                 assert alpha[succ] == (t1, t2)
 
     def test_sb_search_holds_no_parents(self):
-        # 15120 reachable triples.  The search that kept a BFS parent per
-        # triple peaked at 3.78 MB here; the seen set alone at about 2.2 MB.
+        # 15120 reachable triples over as many pairs.  The search that kept a
+        # BFS parent per triple peaked at 3.78 MB here, the triple seen set
+        # alone at about 2.3 MB, and the pair search at about 1.3 MB.
         a = parallel_connection(gen_lkl(3, 4), gen_lkl(4, 5))
         a1 = parallel_connection(gen_lkl(3, 4), helpers.length_counter(7, range(7), "len7"))
         a2 = parallel_connection(gen_lkl(4, 5), helpers.length_counter(9, range(9), "len9"))
@@ -160,7 +161,27 @@ class TestVerify:
         finally:
             tracemalloc.stop()
         assert result.reason.startswith("state is reached through two distinct pairs")
-        assert peak < 3_000_000
+        assert peak < 1_800_000
+
+    def test_ai_searches_the_minimal_factors(self, monkeypatch):
+        # The padded factors meet |A| * 16 * 25 / 2 = 14400 triples; their
+        # minimal automata bound the language search by |A| * 6 * 12 = 5184.
+        f1, f2 = gen_lkl(2, 3), gen_lkl(3, 4)
+        a = trim(parallel_connection(f1, f2))
+        a1 = parallel_connection(f1, helpers.length_counter(16, range(16), "len16"))
+        a2 = parallel_connection(f2, helpers.length_counter(25, range(25), "len25"))
+        searched = []
+        original = decompositions._triple_bfs
+
+        def counted(*args):
+            order, word_to = original(*args)
+            searched.append(len(order))
+            return order, word_to
+
+        monkeypatch.setattr(decompositions, "_triple_bfs", counted)
+        assert verify("ai", a, a1, a2)
+        assert len(searched) == 1
+        assert searched[0] <= a.n * minimize(a1)[0].n * minimize(a2)[0].n == 72 * 6 * 12
 
     def test_unreachable_states_rejected_for_state_kinds(self):
         dead = Dfa("d", ("p", "q"), ("a",), ((0,), (1,)), 0, frozenset())

@@ -1,8 +1,9 @@
 """Fast paths against their oracles on seeded and drawn random automata: the index
 lattice, its pair-graph components, its join-irreducibles and join steps, its
 pair-mask keys, the emission conditions,
-redundancy and distributivity against brute force, and ``verify``,
-``minimize`` and the product search against their earlier forms in helpers."""
+redundancy and distributivity against brute force, ``verify``, ``minimize``
+and the product and pair searches against their earlier forms in helpers, and
+the word of an ``ai`` refusal against enumeration."""
 
 import dataclasses
 import itertools
@@ -18,6 +19,7 @@ from dfadecomp import (
     DecompositionKind,
     InputError,
     Refusal,
+    accepts,
     brute_sp_partitions,
     decompose_ai_sufficient,
     decompose_asb,
@@ -42,7 +44,7 @@ from dfadecomp import (
     trim,
     verify,
 )
-from dfadecomp.automata import _triple_bfs, reachable_indexes
+from dfadecomp.automata import _pair_states, _triple_bfs, reachable_indexes
 from dfadecomp.decompositions import _emission_condition
 from dfadecomp.partitions import _pair_components
 
@@ -273,6 +275,25 @@ def _random_triple(seed: int) -> tuple[Dfa, Dfa, Dfa]:
     return a, a1, a2
 
 
+def _padded_triple(seed: int) -> tuple[Dfa, Dfa, Dfa]:
+    """A triple of ``_random_triple`` whose factors each run in parallel with
+    a length counter of 1-4 states.  Two counters in three accept every
+    residue and keep their factor's language; one draw in four checks the
+    padded factors against their own trimmed product instead."""
+    rng = random.Random(-1 - seed)
+    a, a1, a2 = _random_triple(seed)
+
+    def padded(f: Dfa) -> Dfa:
+        p = rng.randint(1, 4)
+        residues = range(p) if rng.random() < 2 / 3 else [r for r in range(p) if rng.random() < 0.5]
+        return parallel_connection(f, helpers.length_counter(p, residues, f"len{p}", f.alphabet))
+
+    a1, a2 = padded(a1), padded(a2)
+    if rng.random() < 0.25:
+        a = trim(parallel_connection(a1, a2))
+    return a, a1, a2
+
+
 def _verify_outcome(verifier, kind, a, a1, a2):
     """Everything a verification returns, with the order of a mapping kept."""
     try:
@@ -309,10 +330,27 @@ def test_product_search_matches_the_parent_search(triple):
         assert word_to(t) == helpers.word_by_parents(parents, t, alphabet), t
 
 
+@settings(max_examples=150, deadline=None)
+@given(_drawn_triples())
+def test_pair_search_matches_the_product_search(triple):
+    first, more = _pair_states(*triple)
+    order, _ = helpers.triple_bfs_with_parents(*triple)
+    n2 = triple[2].n
+    ref_first: dict[int, int] = {}
+    states: dict[int, set[int]] = {}
+    for i, j, k in order:
+        ref_first.setdefault(j * n2 + k, i)
+        states.setdefault(j * n2 + k, set()).add(i)
+    assert list(first.items()) == list(ref_first.items())
+    assert all(more.values()) and set(more) <= set(first)
+    assert {p: {i} | more.get(p, set()) for p, i in first.items()} == states
+
+
 def test_verify_matches_the_pair_set_form():
     outcomes = set()
-    for seed in range(600):
-        a, a1, a2 = _random_triple(seed)
+    draws = [(seed, _random_triple(seed)) for seed in range(600)]
+    draws += [(("padded", seed), _padded_triple(seed)) for seed in range(400)]
+    for seed, (a, a1, a2) in draws:
         for kind in DecompositionKind:
             new = _verify_outcome(verify, kind, a, a1, a2)
             old = _verify_outcome(helpers.verify_by_pair_sets, kind, a, a1, a2)
@@ -327,6 +365,31 @@ def test_verify_matches_the_pair_set_form():
         "reachable pair maps to states disagreeing on acceptance",
         "state is reached through two distinct pairs; the embedding cannot be injective",
     }
+
+
+def test_ai_refusal_word_is_the_least_word_the_languages_differ_on():
+    """The word of an ``ai`` refusal is the shortlex-least word, in A's
+    alphabet order, of L(A) Δ (L(a1) ∩ L(a2)), found here by enumeration
+    whenever it has at most 8 letters."""
+    refused = 0
+    for a, a1, a2 in itertools.chain(
+        map(_random_triple, range(300)), map(_padded_triple, range(300))
+    ):
+        least = next(
+            (
+                w
+                for w in helpers.words_up_to(a.alphabet, 8)
+                if accepts(a, w) != (accepts(a1, w) and accepts(a2, w))
+            ),
+            None,
+        )
+        r = verify("ai", a, a1, a2)
+        if least is None:
+            assert r or len(r.detail) > 8
+        else:
+            assert isinstance(r, Refusal) and r.detail == least, (a, a1, a2)
+            refused += 1
+    assert refused >= 100
 
 
 def _random_input(seed: int) -> Dfa:

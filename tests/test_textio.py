@@ -316,6 +316,16 @@ class TestPartitionLiterals:
             parse_partition(literal, gen_grid(2, 2))
         assert str(exc.value) == "partition literal does not cover every state exactly once"
 
+    @pytest.mark.parametrize(
+        "literal",
+        ["{q0_0,q0_1||q1_0,q1_1}", "{q0_0,q0_1|q1_0,q1_1|}", "{|q0_0,q0_1,q1_0,q1_1}", "{ , }"],
+        ids=["inner", "trailing", "leading", "commas-only"],
+    )
+    def test_empty_block_rejected(self, literal):
+        with pytest.raises(InputError) as exc:
+            parse_partition(literal, gen_grid(2, 2))
+        assert str(exc.value) == "partition literal has an empty block"
+
 
 class TestDot:
     def test_one_state_all_accepting_has_one_doublecircle(self):
