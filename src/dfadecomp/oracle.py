@@ -5,14 +5,17 @@ cross-check the constructive lattice.  The candidate pair search certifies
 that no small decomposition exists: it enumerates the first automaton of a
 pair whole, fills in the second one's transition table an entry at a time,
 and cuts a branch as soon as the joint run through the entries set so far
-shows a conflict.  ``wai`` runs as ``si`` on the minimal automaton,
-``ai`` computes the first automaton's accepting set instead of enumerating
-it, and size and first-factor bounds skip what cannot hold the first pair.
+shows a conflict.  ``ai`` and ``wai`` search the minimal automaton, ``wai``
+as ``si``; ``ai`` computes the first automaton's accepting set instead of
+enumerating it; size and first-factor bounds skip what cannot hold the first
+pair; and all candidates, every initial state included, are walked only to
+name a pair that the canonical candidates have shown to exist.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -79,11 +82,12 @@ class ExhaustionCertificate:
     """Proof of work: every candidate pair within the budget was refused.
 
     ``candidates_examined`` is the size of the space covered, the candidate
-    pairs within the effective caps; ``nodes_visited`` is the search's own
-    work, the partial second-automaton tables it set an entry of, summed
-    over one search per initial state the second automaton may take.  The
-    exact reductions of ``certify_undecomposable`` skip work without changing
-    the answer, so ``nodes_visited`` is the only field they change.
+    pairs within the effective caps; ``nodes_visited`` is the canonical
+    search's own work, the partial second-automaton tables it set an entry
+    of, in either mode, since a valid pair exists only if a canonical one
+    does.  The exact reductions of ``certify_undecomposable`` skip work
+    without changing the answer, so ``nodes_visited`` is the only field they
+    change.
     """
 
     kind: DecompositionKind
@@ -211,12 +215,13 @@ class _PairSearch:
     """The second automata that pair with ``a1`` without conflict.
 
     ``first`` walks an l-state table of a2 an entry at a time, in
-    ``_table_walk`` order, and follows the triples (A, a1, a2) reachable
-    through the entries set so far.  The run fails at its first conflict:
-    under ``si`` one pair (j, k) reaches two states of A; under ``ai`` one k,
-    paired with accepting j's, meets accepting and rejecting states of A.
-    ``wai`` is ``si`` on the minimal automaton, and under ``ai`` a1 accepts
-    the forced set, which holds every j paired with an accepting state of A,
+    ``_table_walk`` order, and follows the triples (a, a1, a2) reachable
+    through the entries set so far.  ``a`` is A under ``si`` and the minimal
+    automaton under ``ai`` and ``wai`` (which is ``si`` there).  The run
+    fails at its first conflict: under ``si`` one pair (j, k) reaches two
+    states of ``a``; under ``ai`` one k, paired with accepting j's, meets
+    accepting and rejecting states of ``a``.  Under ``ai`` a1 accepts the
+    forced set, which holds every j paired with an accepting state of ``a``,
     so no run fails before the first entry.  Setting an entry only adds
     triples, so a failed run stays failed below it, and the walk cuts the
     subtree there.  ``nodes`` counts the entries set, over every walk.
@@ -313,16 +318,12 @@ class _PairSearch:
         return _rows(flat, l, s), root, accepting
 
 
-def certify_undecomposable(
-    kind: "DecompositionKind | str", dfa: Dfa, budget: SearchBudget
-) -> Decomposition | ExhaustionCertificate:
-    """Search every candidate pair within the budget for a decomposition.
-
-    Budget caps are clamped below the automaton's state count, since only
-    pairs of strictly smaller automata are of interest.  Returns the first
-    verifying pair in the enumeration order (sizes lexicographically, then
-    table, initial state and accepting set in mask order), or a certificate
-    that the whole space was examined.
+def _first_pair(
+    kind: DecompositionKind, dfa: Dfa, m: Dfa, sizes: list[tuple[int, int]], canonical_only: bool
+) -> tuple[Decomposition | None, int]:
+    """The first verifying pair among the candidates the mode walks at
+    ``sizes``, a list of (k, l) in lexicographic order, or None if there is
+    none; and the entries set over the sizes searched through.
 
     The first automaton is enumerated whole.  The second one's table is set
     an entry at a time, in the same order, while ``_PairSearch`` follows the
@@ -334,14 +335,75 @@ def certify_undecomposable(
     the triples are the pair's reachable ones, so a run without conflict
     verifies.  One search per initial state of the second automaton (state
     0 under ``canonical_only``) stops at its first table, and the least
-    (table, initial state) is the enumerator's first pair.
+    (table, initial state) is the enumerator's first pair.  The fan and the
+    minimal first factor of ``certify_undecomposable`` skip first automata.
+    """
+    ai = kind is DecompositionKind.AI
+    nodes = 0
+    for k, at_k in itertools.groupby(sizes, key=lambda size: size[0]):
+        ls = [l for _, l in at_k]
+        firsts = []  # (the least l a1 may pair with, the search of a1)
+        for a1 in candidate_automata(k, dfa.alphabet, canonical_only):
+            order, _ = _triple_bfs(m, a1, a1)
+            if ai:
+                forced = {j for i, j, _ in order if i in m.accepting}
+                a1 = _candidate(dfa.alphabet, a1.table, a1.initial, forced)
+                if minimize(a1)[0].n < k:
+                    continue
+                least_l = 1
+            else:  # the fan
+                least_l = max(Counter(j for _, j, _ in order).values())
+            if least_l <= ls[-1]:
+                firsts.append((least_l, _PairSearch(ai, m, a1, order)))
+        for l in ls:
+            for least_l, search in firsts:
+                if l < least_l:
+                    continue
+                roots = range(1 if canonical_only else l)
+                finds = [f for f in (search.first(l, root, canonical_only) for root in roots) if f]
+                if finds:
+                    table, initial, accepting = min(finds)
+                    a2 = _candidate(dfa.alphabet, table, initial, accepting)
+                    result = verify(kind, dfa, search.a1, a2)
+                    if not result:
+                        raise RuntimeError(f"search found a pair that verify refuses: {result}")
+                    return result, nodes
+        nodes += sum(search.nodes for _, search in firsts)
+    return None, nodes
+
+
+def certify_undecomposable(
+    kind: "DecompositionKind | str", dfa: Dfa, budget: SearchBudget
+) -> Decomposition | ExhaustionCertificate:
+    """Search every candidate pair within the budget for a decomposition.
+
+    Budget caps are clamped below the automaton's state count, since only
+    pairs of strictly smaller automata are of interest.  Returns the first
+    verifying pair in the enumeration order (sizes lexicographically, then
+    table, initial state and accepting set in mask order), or a certificate
+    that the whole space was examined.
+
+    Both modes search the canonical candidates, and all candidates are
+    walked only to name a find.  Trimming both factors of a valid pair to
+    their reachable states and numbering each in breadth-first order keeps
+    the pair valid, since ai reads only the factors' languages and si and
+    wai only the reachable triples, and gives a canonical pair no larger in
+    either size.  So the budget holds a valid pair iff it holds a canonical
+    one, and its first pair has the first canonical pair's sizes (k*, l*):
+    a valid pair at sizes before (k*, l*) would trim to a canonical pair at
+    sizes no larger in either coordinate, so also before (k*, l*), and the
+    canonical first pair is itself a candidate at (k*, l*).  Under
+    ``canonical_only=False`` a find is named by a second search of all
+    candidates at (k*, l*) alone, and a certificate's ``nodes_visited`` is
+    the canonical search's.
 
     Six exact reductions keep that answer; they change only the
     certificate's ``nodes_visited``.  Two of them narrow what is searched:
 
     - ``wai`` is ``si`` on the minimal automaton M: words that reach one pair
       but two states of M are told apart by a suffix (Myhill-Nerode), which
-      is a wai conflict, and L(M) = L(A).
+      is a wai conflict, and L(M) = L(A).  ``ai`` searches M as well, since
+      its conflicts, F1* and least accepting sets read only words and L(A).
     - Under ``ai`` every valid F1 contains F1*, the a1 states that words of
       L(A) reach, and F1* is valid whenever some F1 is, since L(A) lies in
       L(a1 with F1*) & L(a2), which lies in L(a1 with F1) & L(a2).  So F1* is
@@ -358,9 +420,9 @@ def certify_undecomposable(
       and of M under wai, and under ai their product automaton recognizes
       L(A), so it has at least as many states as M.  So k * l is at least n
       (si) or the states of M (wai, ai).
-    - Fan (si, wai): if the words that take a1 to state j take the target
-      to f states, each of those needs an a2 state of its own, since a pair
-      (j, k) reaches one state.  An a1 is skipped at every l below its
+    - Fan (si, wai): if the words that take a1 to state j take A (M under
+      wai) to f states, each of those needs an a2 state of its own, since a
+      pair (j, k) reaches one state.  An a1 is skipped at every l below its
       largest f.
     - Minimal first factor (ai): if (a1 with F1*) minimizes to k' < k states,
       the minimal automaton, numbered as a candidate of size k', accepts the
@@ -381,42 +443,19 @@ def certify_undecomposable(
             f"bound {FEASIBILITY_BOUND}",
             estimate=estimate,
         )
-    ai = kind is DecompositionKind.AI
-    # M for wai and ai; si reads only A, so it is not minimized
+    # M for wai and ai; si reads A's states, so it is not minimized
     m = dfa if kind is DecompositionKind.SI else minimize(dfa)[0]
-    target = dfa if ai else m
-    nodes = 0
-    for k in range(1, eff1 + 1):
-        firsts = []  # (the least l a1 may pair with, the search of a1)
-        for a1 in candidate_automata(k, dfa.alphabet, canonical):
-            order, _ = _triple_bfs(target, a1, a1)
-            if ai:
-                forced = {j for i, j, _ in order if i in target.accepting}
-                a1 = _candidate(dfa.alphabet, a1.table, a1.initial, forced)
-                if minimize(a1)[0].n < k:
-                    continue
-                least_l = 1
-            else:  # the fan
-                least_l = max(Counter(j for _, j, _ in order).values())
-            if least_l <= eff2:
-                firsts.append((least_l, _PairSearch(ai, target, a1, order)))
-        for l in range(1, eff2 + 1):
-            if l < k <= eff2 or k * l < m.n:
-                continue
-            for least_l, search in firsts:
-                if l < least_l:
-                    continue
-                roots = range(1 if canonical else l)
-                finds = [f for f in (search.first(l, root, canonical) for root in roots) if f]
-                if finds:
-                    table, initial, accepting = min(finds)
-                    a2 = _candidate(dfa.alphabet, table, initial, accepting)
-                    result = verify(kind, dfa, search.a1, a2)
-                    if not result:
-                        raise RuntimeError(f"search found a pair that verify refuses: {result}")
-                    return result
-        nodes += sum(search.nodes for _, search in firsts)
-
+    sizes = [
+        (k, l)
+        for k in range(1, eff1 + 1)
+        for l in range(1, eff2 + 1)
+        if not (l < k <= eff2 or k * l < m.n)  # symmetric sizes, size product
+    ]
+    found, nodes = _first_pair(kind, dfa, m, sizes, True)
+    if found is not None and not canonical:
+        found, _ = _first_pair(kind, dfa, m, [(found.a1.n, found.a2.n)], False)
+    if found is not None:
+        return found
     return ExhaustionCertificate(
         kind=kind,
         dfa_fingerprint=dfa.fingerprint(),

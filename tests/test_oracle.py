@@ -23,6 +23,7 @@ from dfadecomp import (
     gen_grid,
     gen_lkl,
     gen_ln,
+    parallel_connection,
     random_dfa,
     sp_lattice,
     trim,
@@ -145,6 +146,15 @@ class TestCandidates:
                 assert (canon.table, canon.initial, canon.accepting) in pools[canon.n]
 
 
+def _padded(a: Dfa) -> Dfa:
+    """A non-minimal automaton of L(a): a in parallel with a length counter
+    that accepts every length."""
+    assert a.alphabet == ("a", "b")
+    padded = trim(parallel_connection(a, helpers.length_counter(2, {0, 1}, "len2")))
+    assert not helpers.is_minimal(padded)
+    return padded
+
+
 class TestCertify:
     def test_threshold_language_is_wai_undecomposable(self):
         cert = certify_undecomposable("wai", gen_ln(4), SearchBudget(3, 3))
@@ -219,8 +229,10 @@ class TestCertify:
             ("ai", gen_a4b4_triple()[0], (3, 3), 30447),
             ("wai", gen_ln(6), (5, 5), 192),
             ("si", gen_ln(5), (4, 4), 83),
+            # not minimal: ai searches its minimal automaton, as wai does
+            ("ai", _padded(gen_a4b4_triple()[1]), (3, 3), 3837),
         ],
-        ids=["a4b4-si", "a4b4-wai", "a4b4-ai", "ln6-wai", "ln5-si"],
+        ids=["a4b4-si", "a4b4-wai", "a4b4-ai", "ln6-wai", "ln5-si", "padded-a4b4-ai"],
     )
     def test_canonical_search_sets_a_fixed_number_of_entries(self, kind, dfa, caps, nodes):
         cert = certify_undecomposable(kind, dfa, SearchBudget(*caps))
@@ -275,9 +287,40 @@ def test_search_matches_the_enumerator(canonical_only):
         for kind in ("ai", "si", "wai")
         for found in (Decomposition, ExhaustionCertificate)
     }
-    # wai runs as si on the minimal automaton; non-minimal inputs exercise that.
-    assert ("wai", Decomposition, False) in outcomes
-    assert ("wai", ExhaustionCertificate, False) in outcomes
+    # ai and wai search the minimal automaton; non-minimal inputs exercise that.
+    for kind in ("ai", "wai"):
+        assert (kind, Decomposition, False) in outcomes
+        assert (kind, ExhaustionCertificate, False) in outcomes
+
+
+def test_all_candidates_answer_as_the_canonical_candidates():
+    """A valid pair trims to a canonical valid pair no larger in either size,
+    so searching all candidates finds a pair iff searching the canonical ones
+    does, and its first pair has the sizes of their first pair."""
+    outcomes = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        alphabet = ("a", "b")[: rng.randint(1, 2)]
+        a = random_dfa(rng, rng.randint(3, 6), alphabet, trim_unreachable=True)
+        while a.n < 3:
+            a = random_dfa(rng, rng.randint(3, 6), alphabet, trim_unreachable=True)
+        kind = ("ai", "si", "wai")[seed % 3]
+        budget = SearchBudget(rng.randint(1, 3), rng.randint(1, 3), canonical_only=False)
+        while estimate_search_space(a, budget, kind) > oracle.FEASIBILITY_BOUND:
+            budget = SearchBudget(rng.randint(1, 3), rng.randint(1, 3), canonical_only=False)
+        every = certify_undecomposable(kind, a, budget)
+        canonical_budget = dataclasses.replace(budget, canonical_only=True)
+        canonical = certify_undecomposable(kind, a, canonical_budget)
+        assert type(every) is type(canonical), seed
+        if isinstance(every, Decomposition):
+            assert (every.a1.n, every.a2.n) == (canonical.a1.n, canonical.a2.n), seed
+        outcomes.add((kind, type(every), len(alphabet)))
+    assert outcomes == {
+        (kind, found, s)
+        for kind in ("ai", "si", "wai")
+        for found in (Decomposition, ExhaustionCertificate)
+        for s in (1, 2)
+    }
 
 
 def _skip_rule(kind: str, a: Dfa, a1: Dfa, l: int, eff2: int) -> str | None:
@@ -306,12 +349,15 @@ def _skip_rule(kind: str, a: Dfa, a1: Dfa, l: int, eff2: int) -> str | None:
 def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeypatch):
     """Every (a1, l) up to the enumerator's first pair is either searched, or
     skipped by a reduction and then, with any accepting sets, verifies with
-    no second factor of l states."""
+    no second factor of l states.  All candidates are walked only at the
+    sizes of the first canonical pair, so under ``canonical_only=False`` the
+    positions at sizes before those are skipped, and all of them when no
+    canonical pair verifies."""
     searched = set()
 
     class Recorded(_PairSearch):
         def first(self, l, root, canonical_only):
-            searched.add((self.a1.table, self.a1.initial, l))
+            searched.add((self.a1.table, self.a1.initial, l, canonical_only))
             return super().first(l, root, canonical_only)
 
     monkeypatch.setattr(oracle, "_PairSearch", Recorded)
@@ -325,6 +371,15 @@ def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeyp
         if isinstance(first, Decomposition):
             stop = (first.a1.table, first.a1.initial, first.a2.n)
         eff1, eff2 = min(budget.max_states_1, a.n - 1), min(budget.max_states_2, a.n - 1)
+        naming = set()  # the sizes at which all candidates are walked
+        if not canonical_only:
+            canonical_budget = dataclasses.replace(budget, canonical_only=True)
+            canonical_first = helpers.certify_by_enumeration(kind, a, canonical_budget)
+            if isinstance(canonical_first, Decomposition):
+                naming.add((canonical_first.a1.n, canonical_first.a2.n))
+        walked_all = {(len(table), l) for table, _, l, canonical in searched if not canonical}
+        assert walked_all == naming, (seed, walked_all, naming)
+        before = min(naming, default=(eff1 + 1, 0))  # every size before this is skipped
         by_size = {
             k: list(helpers.candidates_by_product(k, a.alphabet, canonical_only, kind == "ai"))
             for k in range(1, max(eff1, eff2) + 1)
@@ -337,8 +392,10 @@ def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeyp
         )
         for a1, l in positions:
             rule = _skip_rule(kind, a, a1, l, eff2)
+            if rule is None and not canonical_only and (a1.n, l) < before:
+                rule = "before the canonical first sizes"
             if rule is None:
-                assert (a1.table, a1.initial, l) in searched, (seed, a1.table, l)
+                assert (a1.table, a1.initial, l, canonical_only) in searched, (seed, a1.table, l)
             else:
                 skips[rule] += 1
                 key = (a1.table, a1.initial)
@@ -348,6 +405,8 @@ def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeyp
             if (a1.table, a1.initial, l) == stop:
                 break
     rules = {"symmetric sizes", "size product", "fan", "non-minimal first factor"}
+    if not canonical_only:
+        rules.add("before the canonical first sizes")
     assert set(skips) == rules, skips
 
 
