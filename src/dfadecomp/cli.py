@@ -151,18 +151,17 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         sys.stdout.write("[")
         sep = "\n  "
         for e in entries:
-            d = e.decomposition
-            pa, pb = d.source_partitions
+            pa, pb = e.source_partitions
             entry = _ENTRY_JSON.format(
-                kind=d.kind.value,
-                a1=d.a1.n,
-                a2=d.a2.n,
+                kind=report.kind.value,
+                a1=pa.num_blocks,
+                a2=pb.num_blocks,
                 nontrivial=str(e.nontrivial).lower(),
                 perfect=str(e.perfect).lower(),
                 redundant=str(e.redundant).lower(),
                 pa=shown(pa),
                 pb=shown(pb),
-                witness=_WITNESS_KIND[d.kind],
+                witness=_WITNESS_KIND[report.kind],
             )
             sys.stdout.write(sep + entry)
             sep = ",\n  "
@@ -171,15 +170,14 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         shown = functools.cache(lambda pi: format_partition(pi, dfa))
         print(f"# {len(entries)} {args.kind} decomposition(s) of {dfa.name}")
         for e in entries:
-            d = e.decomposition
-            pa, pb = d.source_partitions
+            pa, pb = e.source_partitions
             flags = (
                 f"nontrivial={'yes' if e.nontrivial else 'no'} "
                 f"perfect={'yes' if e.perfect else 'no'} "
                 f"redundant={'yes' if e.redundant else 'no'}"
             )
             print(
-                f"{d.kind.value} a1={d.a1.n} a2={d.a2.n} {flags} "
+                f"{report.kind.value} a1={pa.num_blocks} a2={pb.num_blocks} {flags} "
                 f"pi1={shown(pa)} pi2={shown(pb)}"
             )
     return 0 if entries else 1

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .automata import Dfa, _pair_states, _triple_bfs, reachable_indexes
 from .errors import InputError
@@ -84,10 +84,23 @@ class Decomposition:
 
 @dataclass(frozen=True)
 class ReportEntry:
-    decomposition: Decomposition
+    """One reported pair of lattice elements.  The flags read only the
+    quotients' sizes, the partitions' block counts; ``decomposition`` is
+    built the first time it is read, then kept."""
+
+    source_partitions: tuple[Partition, Partition]
     nontrivial: bool
     perfect: bool
     redundant: bool
+    _build: Callable[[Partition, Partition], Decomposition] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def decomposition(self) -> Decomposition:
+        return self._build(*self.source_partitions)
+
+
+# What ``is_redundant`` reads of a decomposition, before one is built.
+_Pair = NamedTuple("_Pair", [("kind", DecompositionKind), ("source_partitions", tuple)])
 
 
 @dataclass(frozen=True)
@@ -249,13 +262,17 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
     condition = _emission_condition(kind, a)
     elements, keys = lattice.elements, lattice.keys
     separating = kind in (DecompositionKind.AI, DecompositionKind.ASB)
+    pairs: dict = {}
 
     @functools.cache
-    def quotient_of(k: int, role: int) -> Dfa:
+    def quotient_of(pi: Partition, role: int) -> Dfa:
         # Under ai and asb each factor accepts its minimal pick, else nothing.
-        pi = elements[k]
         picks = {pi.block_index[i] for i in a.accepting} if separating else ()
         return quotient(a, pi, picks, name=f"{a.name}_q{role}")
+
+    def build(pa: Partition, pb: Partition) -> Decomposition:
+        a1, a2 = quotient_of(pa, 1), quotient_of(pb, 2)
+        return _entry_from_partitions(a, kind, pa, pb, a1, a2, pairs)
 
     # Every condition is symmetric, so scanning the elements coarsest first
     # yields each pair in its reported orientation, and inside each size in
@@ -264,21 +281,22 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
         (k for k, pi in enumerate(elements) if not pi.is_trivial()),
         key=lambda k: elements[k].num_blocks,
     )
-    entries, pairs = [], {}
+    entries = []
     for i, j in itertools.combinations_with_replacement(factors, 2):
         if not condition(keys[i], keys[j]):
             continue
-        a1, a2 = quotient_of(i, 1), quotient_of(j, 2)
-        d = _entry_from_partitions(a, kind, elements[i], elements[j], a1, a2, pairs)
+        pa, pb = elements[i], elements[j]
+        m1, m2 = pa.num_blocks, pb.num_blocks
         entries.append(
             ReportEntry(
-                decomposition=d,
-                nontrivial=d.a1.n < a.n and d.a2.n < a.n,
-                perfect=d.a1.n * d.a2.n == a.n,
-                redundant=is_redundant(a, d, lattice=lattice),
+                source_partitions=(pa, pb),
+                nontrivial=m1 < a.n and m2 < a.n,
+                perfect=m1 * m2 == a.n,
+                redundant=is_redundant(a, _Pair(kind, (pa, pb)), lattice=lattice),
+                _build=build,
             )
         )
-    entries.sort(key=lambda e: (e.decomposition.a1.n, e.decomposition.a2.n))
+    entries.sort(key=lambda e: tuple(pi.num_blocks for pi in e.source_partitions))
     return DecompositionReport(a.fingerprint(), kind, tuple(entries))
 
 
@@ -316,6 +334,7 @@ def is_redundant(
     """True iff some strictly coarser lattice pair still satisfies the
     condition that emitted ``d`` (meet zero for ``sb``, plus separation for
     ``asb``; the analogous condition for the sufficient ``ai``/``wai`` kinds).
+    Only ``d.kind`` and ``d.source_partitions`` are read.
 
     The conditions are down-closed, and every element strictly coarser than x
     lies above one of the joins listed in ``SpLattice.above``, so only the

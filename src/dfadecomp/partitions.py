@@ -60,13 +60,18 @@ def _leaders(labels: Iterable[Hashable]) -> Leaders:
     return tuple([first.setdefault(lab, i) for i, lab in enumerate(labels)])
 
 
-def _join(x: Leaders, y: Leaders) -> Leaders:
-    """Finest common coarsening of two leader vectors: x is already a resolved
-    union-find forest, so each state is merged with its leader in y."""
+def _merges(y: Leaders) -> list[tuple[int, int]]:
+    """The (state, leader) pairs of y's states that lead no block: merging
+    them into any partition joins it with y."""
+    return [(i, yi) for i, yi in enumerate(y) if yi != i]
+
+
+def _join(x: Leaders, merges: Iterable[tuple[int, int]]) -> Leaders:
+    """x joined with the partition of ``merges`` (``_merges(y)`` for y): x is
+    already a resolved union-find forest, so each pair is merged into it."""
     root = list(x)
-    for i, yi in enumerate(y):
-        if yi != i:
-            _union(root, i, yi)
+    for i, yi in merges:
+        _union(root, i, yi)
     return tuple(_resolve(root))
 
 
@@ -156,7 +161,7 @@ def meet(p1: Partition, p2: Partition) -> Partition:
 def join(p1: Partition, p2: Partition) -> Partition:
     """Finest common coarsening, via union-find over both block structures."""
     _check_same_ground(p1, p2)
-    return Partition._from_leaders(_join(p1.leaders, p2.leaders))
+    return Partition._from_leaders(_join(p1.leaders, _merges(p2.leaders)))
 
 
 def leq(p1: Partition, p2: Partition) -> bool:
@@ -310,35 +315,54 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     Closure under meet is a consequence and is re-verified on the pair masks
     (``SpLattice.keys``) up to 1000 elements.  The check is quadratic: at 877
     elements it costs more than the closure, at 4140 almost five times as much.
+
+    Each element x other than the bottom was found as y ∨ j' with y found
+    before it, and every y ∨ j is known by the time x is visited.  For an
+    irreducible j ≰ x: x ∨ j = (y ∨ j) ∨ j', and j' ≤ z exactly when z
+    merges j''s pair, so if y ∨ j merges that pair, x ∨ j = y ∨ j and no
+    join is made.
     """
     n = dfa.n
     merging: dict[Leaders, tuple[int, int]] = {}  # each distinct atom -> a pair it is the atom of
     for p, t in _pair_components(dfa):
         merging.setdefault(_min_sp_merging_labels(dfa, p, t), (p, t))
+    merges = {a: _merges(a) for a in merging}
     bottom = tuple(range(n))
-    irreducible = {}  # the join-irreducible atoms -> their pairs
+    irreducibles = []  # (atom, its merges, a pair it is the atom of) of each join-irreducible atom
     for j, (p, t) in merging.items():
         below = bottom
         for a, (q, u) in merging.items():
             if a != j and j[q] == j[u]:  # j merges a's pair, so a < j
-                below = _join(below, a)
+                below = _join(below, merges[a])
         if below[p] != below[t]:
-            irreducible[j] = (p, t)
+            irreducibles.append((j, merges[j], p, t))
     position = {bottom: 0}
     found = [bottom]
-    strictly_above: list[set[int]] = []
-    for x in found:  # ``found`` grows while this loop runs; each element is visited once
-        ups = set()
-        for atom, (p, t) in irreducible.items():
+    # For k > 0, (y, p', t') = made[k]: found[k] is found[y] joined with the
+    # irreducible of (p', t').  joins[k][r] is the position of found[k]
+    # joined with irreducibles[r].
+    made = [(0, 0, 0)]
+    joins: list[list[int]] = []
+    for k, x in enumerate(found):  # ``found`` grows while this loop runs
+        y, p_made, t_made = made[k]
+        row = []
+        for r, (_, j_merges, p, t) in enumerate(irreducibles):
             if x[p] == x[t]:
+                row.append(k)
                 continue
-            z = _join(x, atom)
-            k = position.get(z)
-            if k is None:
-                k = position[z] = len(found)
+            if k:
+                z = joins[y][r]
+                if found[z][p_made] == found[z][t_made]:
+                    row.append(z)
+                    continue
+            z = _join(x, j_merges)
+            i = position.get(z)
+            if i is None:
+                i = position[z] = len(found)
                 found.append(z)
-            ups.add(k)
-        strictly_above.append(ups)
+                made.append((k, p, t))
+            row.append(i)
+        joins.append(row)
     pairs, keys = [], []
     for x in found:
         members = [0] * n  # block leader -> its states as a bit set
@@ -357,12 +381,13 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
         range(len(found)), key=lambda k: (-partitions[k].num_blocks, partitions[k].blocks)
     )
     rank = {k: r for r, k in enumerate(order)}
+    irreducible = {j for j, _, _, _ in irreducibles}
     elements = tuple(partitions[k] for k in order)
     return SpLattice(
         dfa_fingerprint=dfa.fingerprint(),
         elements=elements,
         irreducibles=tuple(pi for pi in elements if pi.leaders in irreducible),
-        above=tuple(tuple(sorted(rank[j] for j in strictly_above[k])) for k in order),
+        above=tuple(tuple(sorted({rank[i] for i in joins[k]} - {rank[k]})) for k in order),
         keys=tuple(keys[k] for k in order),
     )
 
@@ -410,13 +435,13 @@ def is_distributive(lattice: SpLattice) -> bool:
     irreducibles not above j.  This takes O(|irreducibles|^2) joins of
     leader vectors over ``lattice.irreducibles``.
     """
-    irreducibles = [pi.leaders for pi in lattice.irreducibles]
+    irreducibles = [(pi.leaders, _merges(pi.leaders)) for pi in lattice.irreducibles]
     bottom = tuple(range(lattice.elements[0].n))
-    for j in irreducibles:
+    for j, _ in irreducibles:
         rest = bottom
-        for a in irreducibles:
+        for a, a_merges in irreducibles:
             if not _leq(j, a):
-                rest = _join(rest, a)
+                rest = _join(rest, a_merges)
         if _leq(j, rest):
             return False
     return True

@@ -112,6 +112,21 @@ def fs_join(x: FsPartition, y: FsPartition) -> FsPartition:
     return frozenset(out)
 
 
+def joins_by_closure(n: int, irreducibles) -> dict[FsPartition, set[FsPartition]]:
+    """The join closure of ``irreducibles`` from the partition of ``n``
+    singletons, joining every element with every irreducible: each element
+    -> its joins with them that are strictly coarser than it."""
+    generators = [fs(pi) for pi in irreducibles]
+    above: dict[FsPartition, set[FsPartition]] = {}
+    pending = [frozenset(frozenset({i}) for i in range(n))]
+    while pending:
+        x = pending.pop()
+        if x not in above:
+            above[x] = {fs_join(x, j) for j in generators} - {x}
+            pending.extend(above[x])
+    return above
+
+
 def fs_refines(x: FsPartition, y: FsPartition) -> bool:
     return all(any(bx <= by for by in y) for bx in x)
 

@@ -382,6 +382,33 @@ class TestJsonReport:
         assert out == json.dumps(entries, indent=2) + "\n"
 
 
+class TestDecomposeReadsOnlyPartitions:
+    """The report prints sizes, flags and partitions, all read off the two
+    lattice elements, so no entry's quotients are ever built."""
+
+    @pytest.mark.parametrize("kind", ["sb", "asb", "ai", "wai"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("flags", [[], ["--nonredundant"], ["--perfect-only"]])
+    def test_no_quotient_is_built(self, kind, fmt, flags, capsys, monkeypatch):
+        built = []
+        real = dfadecomp.decompositions.quotient
+
+        def counted(*args, **kwargs):
+            built.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dfadecomp.decompositions, "quotient", counted)
+        code, out, err = run_cli(
+            capsys,
+            ["decompose", "--kind", kind, "--format", fmt, *flags],
+            stdin=print_dfa(gen_grid(3, 5)),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, err) == (0, "")
+        assert "a1=3 a2=5" in out or '"a2_states": 5' in out
+        assert built == []
+
+
 GRID_2X3_AI = """\
 # 15 ai decomposition(s) of grid2x3
 ai a1=2 a2=3 nontrivial=yes perfect=yes redundant=no pi1={q0_0,q0_1,q0_2|q1_0,q1_1,q1_2} pi2={q0_0,q1_0|q0_1,q1_1|q0_2,q1_2}

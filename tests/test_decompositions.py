@@ -262,6 +262,19 @@ class TestDecomposeAsb:
 
 
 class TestDecomposeAiWai:
+    def test_decompose_holds_no_witnesses(self):
+        # 680 wai entries.  Built up front, their quotients and relations
+        # (72 block pairs each on average) peaked at about 3.7 MB here.
+        a = gen_grid(3, 5)
+        tracemalloc.start()
+        try:
+            report = decompose_wai_sufficient(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.entries) == 680
+        assert peak < 1_500_000
+
     def test_example31_prime_ai_contains_2_4(self):
         _, a_prime = gen_example31()
         sizes = {

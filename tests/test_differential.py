@@ -45,8 +45,8 @@ from dfadecomp import (
     verify,
 )
 from dfadecomp.automata import _pair_states, _triple_bfs, reachable_indexes
-from dfadecomp.decompositions import _emission_condition
-from dfadecomp.partitions import _pair_components
+from dfadecomp.decompositions import _emission_condition, _entry_from_partitions
+from dfadecomp.partitions import _pair_components, quotient
 
 import helpers
 
@@ -177,6 +177,61 @@ def test_irreducibles_and_join_steps_match_the_covers(a):
         joins = {helpers.fs_join(fs[i], fs[j]) for j in irreducible} - {fs[i]}
         assert {fs[k] for k in ups} == joins, i
         assert len(ups) == len(joins)
+
+
+def _identity(n: int) -> Dfa:
+    """n states that one letter fixes: every partition is S.P. (Bell(n) of them)."""
+    states = tuple(f"s{i}" for i in range(n))
+    return Dfa(f"id{n}", states, ("a",), tuple((i,) for i in range(n)), 0, frozenset({0}))
+
+
+@pytest.mark.parametrize(
+    "a",
+    LATTICE_INPUTS + [gen_grid(3, 5), gen_grid(4, 4), gen_lkl(6, 8), gen_ln(8), _identity(6)],
+    ids=lambda a: a.name,
+)
+def test_join_closure_matches_joining_every_element_with_every_irreducible(a):
+    # Past brute_sp_partitions' reach too: grid(4,4) has 16 states.
+    lattice = sp_lattice(a)
+    expected = helpers.joins_by_closure(a.n, lattice.irreducibles)
+    fs = [helpers.fs(pi) for pi in lattice.elements]
+    assert len(fs) == len(set(fs)) and set(fs) == set(expected)
+    assert [{fs[k] for k in ups} for ups in lattice.above] == [expected[x] for x in fs]
+
+
+def _small_trimmed(seed: int) -> Dfa:
+    """A trimmed automaton of 1-8 states, unary for odd seeds and binary for
+    even ones.  Plain random automata mostly have trivial lattices, so every
+    other seed draws the product of two smaller ones."""
+    rng = random.Random(seed)
+    alphabet = ("a",) if seed % 2 else ("a", "b")
+    if seed % 4 < 2:
+        return random_dfa(rng, 1 + seed % 8, alphabet, trim_unreachable=True)
+    n1 = rng.randint(2, 4)
+    a1 = random_dfa(rng, n1, alphabet)
+    return trim(parallel_connection(a1, random_dfa(rng, rng.randint(1, 8 // n1), alphabet)))
+
+
+@pytest.mark.parametrize("a", [_small_trimmed(seed) for seed in range(200)] + FIXTURES)
+def test_entries_build_the_quotients_and_witness_when_read(a):
+    def factor(kind, pi, role):
+        # Under ai and asb a factor accepts the blocks meeting F, else nothing.
+        separating = kind in (DecompositionKind.AI, DecompositionKind.ASB)
+        picks = {pi.block_index[i] for i in a.accepting} if separating else ()
+        return quotient(a, pi, picks, name=f"{a.name}_q{role}")
+
+    for kind, decompose in DECOMPOSERS.items():
+        for e in decompose(a).entries:
+            pa, pb = e.source_partitions
+            a1, a2 = factor(kind, pa, 1), factor(kind, pb, 2)
+            eager = _entry_from_partitions(a, kind, pa, pb, a1, a2, {})
+            d = e.decomposition
+            assert d is e.decomposition
+            assert (d.kind, d.a1, d.a2, d.witness, d.source_partitions) == (
+                kind, eager.a1, eager.a2, eager.witness, (pa, pb)
+            )
+            assert (e.nontrivial, e.perfect) == (a1.n < a.n and a2.n < a.n, a1.n * a2.n == a.n)
+            assert dataclasses.replace(d, witness=None).a1 is d.a1
 
 
 @settings(max_examples=150, deadline=None)
