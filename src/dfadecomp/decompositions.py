@@ -132,9 +132,10 @@ def verify(
     minimal automata; the word of a refusal, the shortlex-least one on which
     the languages differ, comes from a second search that stops at the
     refused triple.  The state kinds search the reachable factor pairs once
-    (``_pair_states``): each pair keeps the first state it reaches, and the
-    refused pair is the earliest reached one that meets a second state (for
-    ``wai``, one that differs on acceptance).
+    (``_pair_states``, one seen dict per A1 state: O(n1 + |pairs|) memory):
+    each pair keeps the first state it reaches, and the refused pair is the
+    earliest reached one that meets a second state (for ``wai``, one that
+    differs on acceptance); they read its BFS-ordered lists only.
     """
     kind = _as_kind(kind)
     _require_reachable(a, kind)
@@ -155,46 +156,44 @@ def verify(
         if kind is DecompositionKind.AI:
             return Decomposition(kind, a1, a2, None)
 
-    # Each reachable pair (j, k), keyed j * n2 + k, keeps the first state it reaches;
-    # one that also meets another state (under wai, of the other acceptance) clashes.
+    # Each reachable pair (j, k) keeps the first state it reaches; one that
+    # also meets another state (under wai, of the other acceptance) clashes.
     wai = kind is DecompositionKind.WAI
-    n2 = a2.n
-    first, more = _pair_states(a, a1, a2)
-    clashing = {
-        p
-        for p, others in more.items()
-        if not wai or any((i in a.accepting) != (first[p] in a.accepting) for i in others)
-    }
+    acc = a.accepting
+    js, ks, firsts, more = _pair_states(a, a1, a2)
+    clashing = {p for p, s in more.items() if not wai or not (s <= acc or s.isdisjoint(acc))}
 
-    def named(pair: int) -> tuple[str, str]:
-        return a1.states[pair // n2], a2.states[pair % n2]
+    def named(j: int, k: int) -> tuple[str, str]:
+        return a1.states[j], a2.states[k]
 
     if clashing:
-        pair = next(p for p in first if p in clashing)
-        states = {a.states[i] for i in more[pair] | {first[pair]}}
+        pair = next(p for p in zip(js, ks) if p in clashing)
         reason = (
             "reachable pair maps to states disagreeing on acceptance"
             if wai
             else "reachable pair corresponds to more than one state"
         )
-        return Refusal(reason, (named(pair), tuple(sorted(states))))
+        return Refusal(reason, (named(*pair), tuple(sorted(a.states[i] for i in more[pair]))))
     if wai:
-        relation = frozenset(named(p) for p, i in first.items() if i in a.accepting)
+        relation = frozenset(named(j, k) for j, k, i in zip(js, ks, firsts) if i in acc)
         return Decomposition(kind, a1, a2, relation)
     if kind is DecompositionKind.SI:
-        return Decomposition(kind, a1, a2, {named(p): a.states[i] for p, i in first.items()})
+        witness = {named(j, k): a.states[i] for j, k, i in zip(js, ks, firsts)}
+        return Decomposition(kind, a1, a2, witness)
 
     # sb and asb also need distinct pairs to reach distinct states.
-    pair_of: dict[int, int] = {}
-    for pair, i in first.items():
-        earlier = pair_of.setdefault(i, pair)
-        if earlier != pair:
+    position: dict[int, int] = {}  # state -> index of the first pair reaching it
+    for n, i in enumerate(firsts):
+        earlier = position.setdefault(i, n)
+        if earlier != n:
             return Refusal(
                 "state is reached through two distinct pairs; the embedding "
                 "cannot be injective",
-                (a.states[i], named(earlier), named(pair)),
+                (a.states[i], named(js[earlier], ks[earlier]), named(js[n], ks[n])),
             )
-    return Decomposition(kind, a1, a2, {a.states[i]: named(p) for i, p in pair_of.items()})
+    return Decomposition(
+        kind, a1, a2, {a.states[i]: named(j, k) for j, k, i in zip(js, ks, firsts)}
+    )
 
 
 def _entry_from_partitions(

@@ -43,15 +43,16 @@ FsPartition = frozenset[Block]
 
 
 @st.composite
-def dfas(draw):
-    """Automata of 1-5 states over {a, b}, unreachable states allowed."""
+def dfas(draw, alphabet="ab"):
+    """Automata of 1-5 states over ``alphabet`` ({a, b} unless given),
+    unreachable states allowed."""
     n = draw(st.integers(1, 5))
     table = tuple(
-        tuple(draw(st.integers(0, n - 1)) for _ in range(2)) for _ in range(n)
+        tuple(draw(st.integers(0, n - 1)) for _ in alphabet) for _ in range(n)
     )
     acc = frozenset(i for i in range(n) if draw(st.booleans()))
     initial = draw(st.integers(0, n - 1))
-    return Dfa("h", tuple(f"q{i}" for i in range(n)), ("a", "b"), table, initial, acc)
+    return Dfa("h", tuple(f"q{i}" for i in range(n)), tuple(alphabet), table, initial, acc)
 
 
 def length_counter(p: int, accepting, name: str, alphabet=("a", "b")) -> Dfa:

@@ -150,18 +150,24 @@ class TestVerify:
     def test_sb_search_holds_no_parents(self):
         # 15120 reachable triples over as many pairs.  The search that kept a
         # BFS parent per triple peaked at 3.78 MB here, the triple seen set
-        # alone at about 2.3 MB, and the pair search at about 1.3 MB.
+        # alone at about 2.3 MB.  The pair search keyed by one int per pair
+        # peaked at 1.29-1.33 MB (sb) and 2.39-2.56 MB (si, whose witness
+        # names every pair); one dict per A1 state reads 1.16 and 1.75-1.86 MB.
         a = parallel_connection(gen_lkl(3, 4), gen_lkl(4, 5))
         a1 = parallel_connection(gen_lkl(3, 4), helpers.length_counter(7, range(7), "len7"))
         a2 = parallel_connection(gen_lkl(4, 5), helpers.length_counter(9, range(9), "len9"))
-        tracemalloc.start()
-        try:
-            result = verify("sb", a, a1, a2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert result.reason.startswith("state is reached through two distinct pairs")
-        assert peak < 1_800_000
+        for kind, bound in (("sb", 1_230_000), ("si", 2_100_000)):
+            tracemalloc.start()
+            try:
+                result = verify(kind, a, a1, a2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if kind == "sb":
+                assert result.reason.startswith("state is reached through two distinct pairs")
+            else:
+                assert len(result.witness) == 15120
+            assert peak < bound, (kind, peak)
 
     def test_ai_searches_the_minimal_factors(self, monkeypatch):
         # The padded factors meet |A| * 16 * 25 / 2 = 14400 triples; their

@@ -363,19 +363,25 @@ def _verify_outcome(verifier, kind, a, a1, a2):
 
 
 @st.composite
-def _drawn_triples(draw):
+def _drawn_triples(draw, alphabet="ab"):
     """An automaton and two factors of 1-5 states, unreachable states allowed,
-    each factor over its own drawn order of the alphabet {a, b}."""
-    a = draw(helpers.dfas())
+    each factor over its own drawn order of ``alphabet``."""
+    a = draw(helpers.dfas(alphabet))
     a1, a2 = (
-        dataclasses.replace(draw(helpers.dfas()), alphabet=tuple(draw(st.permutations("ab"))))
+        dataclasses.replace(
+            draw(helpers.dfas(alphabet)), alphabet=tuple(draw(st.permutations(alphabet)))
+        )
         for _ in range(2)
     )
     return a, a1, a2
 
 
-@settings(max_examples=150, deadline=None)
-@given(_drawn_triples())
+# Binary and ternary draws: the searches loop over one column per symbol.
+_binary_or_ternary_triples = st.one_of(_drawn_triples(), _drawn_triples("abc"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_binary_or_ternary_triples)
 def test_product_search_matches_the_parent_search(triple):
     order, word_to = _triple_bfs(*triple)
     ref_order, parents = helpers.triple_bfs_with_parents(*triple)
@@ -385,20 +391,21 @@ def test_product_search_matches_the_parent_search(triple):
         assert word_to(t) == helpers.word_by_parents(parents, t, alphabet), t
 
 
-@settings(max_examples=150, deadline=None)
-@given(_drawn_triples())
+@settings(max_examples=300, deadline=None)
+@given(_binary_or_ternary_triples)
 def test_pair_search_matches_the_product_search(triple):
-    first, more = _pair_states(*triple)
+    """The BFS pairs with their first states are the product search's
+    first-triple map, in order, and ``more`` holds every state of A met by
+    exactly the pairs that meet two or more."""
+    js, ks, firsts, more = _pair_states(*triple)
     order, _ = helpers.triple_bfs_with_parents(*triple)
-    n2 = triple[2].n
-    ref_first: dict[int, int] = {}
-    states: dict[int, set[int]] = {}
+    ref_first: dict[tuple[int, int], int] = {}
+    states: dict[tuple[int, int], set[int]] = {}
     for i, j, k in order:
-        ref_first.setdefault(j * n2 + k, i)
-        states.setdefault(j * n2 + k, set()).add(i)
-    assert list(first.items()) == list(ref_first.items())
-    assert all(more.values()) and set(more) <= set(first)
-    assert {p: {i} | more.get(p, set()) for p, i in first.items()} == states
+        ref_first.setdefault((j, k), i)
+        states.setdefault((j, k), set()).add(i)
+    assert list(zip(zip(js, ks), firsts)) == list(ref_first.items())
+    assert more == {p: s for p, s in states.items() if len(s) > 1}
 
 
 def test_verify_matches_the_pair_set_form():
