@@ -205,6 +205,12 @@ def is_minimal(dfa: Dfa) -> bool:
     )
 
 
+def identity(n: int) -> Dfa:
+    """n states that one letter fixes: every partition is S.P. (Bell(n) of them)."""
+    states = tuple(f"s{i}" for i in range(n))
+    return Dfa(f"id{n}", states, ("a",), tuple((i,) for i in range(n)), 0, frozenset({0}))
+
+
 def one_state(alphabet=("a", "b"), accepting=True) -> Dfa:
     return Dfa(
         name="one",

@@ -179,19 +179,16 @@ def test_irreducibles_and_join_steps_match_the_covers(a):
         assert len(ups) == len(joins)
 
 
-def _identity(n: int) -> Dfa:
-    """n states that one letter fixes: every partition is S.P. (Bell(n) of them)."""
-    states = tuple(f"s{i}" for i in range(n))
-    return Dfa(f"id{n}", states, ("a",), tuple((i,) for i in range(n)), 0, frozenset({0}))
-
-
 @pytest.mark.parametrize(
     "a",
-    LATTICE_INPUTS + [gen_grid(3, 5), gen_grid(4, 4), gen_lkl(6, 8), gen_ln(8), _identity(6)],
+    LATTICE_INPUTS
+    + [gen_grid(3, 5), gen_grid(3, 6), gen_grid(4, 4), gen_lkl(6, 8), gen_ln(8)]
+    + [helpers.identity(6), helpers.identity(7)],
     ids=lambda a: a.name,
 )
 def test_join_closure_matches_joining_every_element_with_every_irreducible(a):
-    # Past brute_sp_partitions' reach too: grid(4,4) has 16 states.
+    # Past brute_sp_partitions' reach too: grid(4,4) has 16 states.  The
+    # closure reads most joins from finished rows on grid(3,6) and identity(7).
     lattice = sp_lattice(a)
     expected = helpers.joins_by_closure(a.n, lattice.irreducibles)
     fs = [helpers.fs(pi) for pi in lattice.elements]

@@ -289,6 +289,30 @@ class TestSpLattice:
         for x, y in itertools.combinations(lattice.nontrivial(), 2):
             assert meet(x, y) != zero
 
+    @pytest.mark.parametrize(
+        "a, calls",
+        [
+            (gen_grid(3, 5), 822),
+            (gen_grid(3, 6), 1516),
+            (helpers.identity(8), 9063),
+        ],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_joins_made_per_build(self, monkeypatch, a, calls):
+        # Irreducibility is tested against the irreducibles found below each
+        # atom, and the closure reads joins from finished rows; losing either
+        # rule raises these counts (2874, 6155 and 91364 without both).
+        real = dfadecomp.partitions._join
+        joined = []
+
+        def counting(x, merges):
+            joined.append(x)
+            return real(x, merges)
+
+        monkeypatch.setattr(dfadecomp.partitions, "_join", counting)
+        sp_lattice(a)
+        assert len(joined) == calls
+
 
 class TestMeetClosureSelfCheck:
     """``sp_lattice`` re-checks closure under meet on its pair masks.  On four
@@ -309,8 +333,10 @@ class TestMeetClosureSelfCheck:
         real = dfadecomp.partitions._join
 
         # The bottom is the one element that joins to {0,1|2|3}.  Returning it
-        # unchanged drops that element alone; a coarser answer would be reused
-        # by the closure's later joins and drop more.
+        # unchanged drops that element, and the closure's lookups reuse the
+        # answer: {2,3} joined with {0,1} is read from the row of {2,3}
+        # found as the bottom joined with {0,1}, which is {2,3} itself, so
+        # {0,1|2,3} is dropped too.
         def join(x, merges):
             z = real(x, merges)
             return x if z == (0, 0, 2, 3) else z  # {0,1|2|3} as leaders
@@ -327,8 +353,10 @@ class TestMeetClosureSelfCheck:
 
     def test_the_check_can_be_switched_off(self, join_skipping_01):
         lattice = sp_lattice(self.IDENTITY4, check_meet_closure=False)
-        assert len(lattice.elements) == 14
-        assert Partition([[0, 1], [2], [3]]) not in lattice
+        missing = set(helpers.all_fs_partitions(4)) - {helpers.fs(pi) for pi in lattice.elements}
+        dropped = Partition([[0, 1], [2], [3]]), Partition([[0, 1], [2, 3]])
+        assert missing == set(map(helpers.fs, dropped))
+        assert len(lattice.elements) == 13
         assert {Partition([[0, 1, 2], [3]]), Partition([[0, 1, 3], [2]])} <= set(lattice.elements)
 
 
