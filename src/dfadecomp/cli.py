@@ -108,21 +108,34 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     return 0
 
 
-# One report entry as json.dumps(entries, indent=2) lays it out; the two
-# partitions are json.dumps(names, indent=2) fragments indented to their depth.
-_ENTRY_JSON = """{{
-    "kind": "{kind}",
-    "a1_states": {a1},
-    "a2_states": {a2},
-    "nontrivial": {nontrivial},
-    "perfect": {perfect},
-    "redundant": {redundant},
+# One report entry as json.dumps(entries, indent=2) lays it out, filled in
+# order with the kind, the two sizes, the three flags, each partition's
+# blocks and the witness kind.  The blocks are lists of quoted names, joined
+# by the separators below.
+_ENTRY_JSON = """{
+    "kind": "%s",
+    "a1_states": %d,
+    "a2_states": %d,
+    "nontrivial": %s,
+    "perfect": %s,
+    "redundant": %s,
     "partitions": [
-      {pa},
-      {pb}
+      [
+        [
+          %s
+        ]
+      ],
+      [
+        [
+          %s
+        ]
+      ]
     ],
-    "witness_kind": "{witness}"
-  }}"""
+    "witness_kind": "%s"
+  }"""
+_JSON_BLOCK_SEP = "\n        ],\n        [\n          "
+_JSON_NAME_SEP = ",\n          "
+_JSON_FLAG = ("false", "true")
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
@@ -142,28 +155,23 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
     ]
     # Each lattice element is rendered once, however many entries it is in.
     if args.format == "json":
+        # json.dumps of one string runs the C encoder, escaping as indent=2 does.
+        quoted = [json.dumps(q) for q in dfa.states]
         shown = functools.cache(
-            lambda pi: json.dumps([[dfa.states[i] for i in b] for b in pi.blocks], indent=2)
-            .replace("\n", "\n      ")
+            lambda pi: _JSON_BLOCK_SEP.join(
+                _JSON_NAME_SEP.join([quoted[i] for i in b]) for b in pi.blocks
+            )
         )
         # One entry at a time, laid out as json.dumps(list, indent=2) would:
         # encoding the whole list at once holds every chunk string alive.
+        kind, witness = report.kind.value, _WITNESS_KIND[report.kind]
         sys.stdout.write("[")
         sep = "\n  "
         for e in entries:
             pa, pb = e.source_partitions
-            entry = _ENTRY_JSON.format(
-                kind=report.kind.value,
-                a1=pa.num_blocks,
-                a2=pb.num_blocks,
-                nontrivial=str(e.nontrivial).lower(),
-                perfect=str(e.perfect).lower(),
-                redundant=str(e.redundant).lower(),
-                pa=shown(pa),
-                pb=shown(pb),
-                witness=_WITNESS_KIND[report.kind],
-            )
-            sys.stdout.write(sep + entry)
+            flags = _JSON_FLAG[e.nontrivial], _JSON_FLAG[e.perfect], _JSON_FLAG[e.redundant]
+            entry = (kind, pa.num_blocks, pb.num_blocks, *flags, shown(pa), shown(pb), witness)
+            sys.stdout.write(sep + _ENTRY_JSON % entry)
             sep = ",\n  "
         print("\n]" if entries else "]")
     else:

@@ -233,26 +233,31 @@ def _emission_condition(kind: DecompositionKind, a: Dfa) -> Callable[[int, int],
     test.  Also reused by the redundancy check.  Every condition is
     down-closed: if it holds for a pair it holds for every finer pair, since
     meets only shrink and the blocks meeting the accepting states only shrink
-    along with them.
+    along with them.  The mask is built once per kind and automaton (state
+    count and accepting set), however many entries test it.
     """
-    n = a.n
-    accepting = sum(1 << i for i in a.accepting)
-    rejecting = (1 << n) - 1 - accepting
+    mask = _emission_mask(kind, a.n, a.accepting)
+    return lambda kx, ky: not kx & ky & mask
+
+
+@functools.lru_cache(maxsize=16)
+def _emission_mask(kind: DecompositionKind, n: int, accepting: frozenset[int]) -> int:
+    """The mask of :func:`_emission_condition`, a pure function of its values."""
+    accepted = sum(1 << i for i in accepting)
+    rejecting = (1 << n) - 1 - accepted
     if kind == DecompositionKind.SB:
-        mask = (1 << n * n) - 1
-    elif kind == DecompositionKind.ASB:
-        mask = (1 << n * n) - 1 | rejecting << n * n
-    elif kind == DecompositionKind.AI:
-        mask = rejecting << n * n
-    elif kind == DecompositionKind.WAI:
+        return (1 << n * n) - 1
+    if kind == DecompositionKind.ASB:
+        return (1 << n * n) - 1 | rejecting << n * n
+    if kind == DecompositionKind.AI:
+        return rejecting << n * n
+    if kind == DecompositionKind.WAI:
         # Row i of the mixed pairs holds the states above i of the other acceptance.
-        mask = sum(
-            ((rejecting if i in a.accepting else accepting) >> i + 1) << (i * n + i + 1)
+        return sum(
+            ((rejecting if i in accepting else accepted) >> i + 1) << (i * n + i + 1)
             for i in range(n)
         )
-    else:
-        raise InputError(f"no lattice-based construction for kind {kind.value!r}")
-    return lambda kx, ky: not kx & ky & mask
+    raise InputError(f"no lattice-based construction for kind {kind.value!r}")
 
 
 def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
@@ -346,9 +351,9 @@ def is_redundant(
         raise InputError("lattice was built for another automaton")
     condition = _emission_condition(d.kind, a)
     p1, p2 = d.source_partitions
-    if p1 not in lat or p2 not in lat:
+    i, j = lat.index.get(p1), lat.index.get(p2)
+    if i is None or j is None:
         raise InputError("source partitions are not elements of the automaton's lattice")
-    i, j = lat.index[p1], lat.index[p2]
     keys = lat.keys
     return any(condition(keys[k], keys[j]) for k in lat.above[i]) or any(
         condition(keys[i], keys[k]) for k in lat.above[j]

@@ -300,6 +300,43 @@ class TestBrokenPipe:
         assert err == b""
 
 
+_REPORT_KINDS = [
+    ("sb", decompose_sb, "embedding"),
+    ("asb", decompose_asb, "embedding"),
+    ("ai", decompose_ai_sufficient, "separation"),
+    ("wai", decompose_wai_sufficient, "relation"),
+]
+
+
+def _escaping_grid():
+    """grid(2, 3) with state names that JSON must escape: a quote, a
+    backslash, non-ASCII letters and a literal ``\\u00e9``."""
+    return dataclasses.replace(
+        gen_grid(2, 3), states=('q"0', "a\\b", "é", 'x"\\', "\\u00e9", "ß")
+    )
+
+
+def _json_entries(a, kind, decompose, witness_kind):
+    """The report of ``decompose`` as the list that ``decompose --format
+    json`` prints, read off each entry's built decomposition."""
+    return [
+        {
+            "kind": kind,
+            "a1_states": e.decomposition.a1.n,
+            "a2_states": e.decomposition.a2.n,
+            "nontrivial": e.nontrivial,
+            "perfect": e.perfect,
+            "redundant": e.redundant,
+            "partitions": [
+                [[a.states[i] for i in block] for block in pi.blocks]
+                for pi in e.decomposition.source_partitions
+            ],
+            "witness_kind": witness_kind,
+        }
+        for e in decompose(a).entries
+    ]
+
+
 class TestJsonReport:
     def test_schema_keys_are_stable(self, capsys, monkeypatch):
         doc = print_dfa(gen_grid(2, 2))
@@ -338,39 +375,14 @@ class TestJsonReport:
         assert code == 0
         assert all(e["perfect"] for e in json.loads(out))
 
-    @pytest.mark.parametrize(
-        "kind, decompose, witness_kind",
-        [
-            ("sb", decompose_sb, "embedding"),
-            ("asb", decompose_asb, "embedding"),
-            ("ai", decompose_ai_sufficient, "separation"),
-            ("wai", decompose_wai_sufficient, "relation"),
-        ],
-    )
+    @pytest.mark.parametrize("kind, decompose, witness_kind", _REPORT_KINDS)
     def test_layout_and_escaping_equal_json_dumps(
         self, kind, decompose, witness_kind, capsys, monkeypatch
     ):
         # State names with a quote, a backslash and non-ASCII letters must be
         # escaped exactly as json.dumps escapes them, in its indent=2 layout.
-        a = dataclasses.replace(
-            gen_grid(2, 3), states=('q"0', "a\\b", "é", 'x"\\', "\\u00e9", "ß")
-        )
-        entries = [
-            {
-                "kind": kind,
-                "a1_states": e.decomposition.a1.n,
-                "a2_states": e.decomposition.a2.n,
-                "nontrivial": e.nontrivial,
-                "perfect": e.perfect,
-                "redundant": e.redundant,
-                "partitions": [
-                    [[a.states[i] for i in block] for block in pi.blocks]
-                    for pi in e.decomposition.source_partitions
-                ],
-                "witness_kind": witness_kind,
-            }
-            for e in decompose(a).entries
-        ]
+        a = _escaping_grid()
+        entries = _json_entries(a, kind, decompose, witness_kind)
         assert entries
         code, out, err = run_cli(
             capsys,
@@ -380,6 +392,32 @@ class TestJsonReport:
         )
         assert (code, err) == (0, "")
         assert out == json.dumps(entries, indent=2) + "\n"
+
+    @pytest.mark.parametrize("kind, decompose, witness_kind", _REPORT_KINDS)
+    @pytest.mark.parametrize("automaton", ["escaping", "grid3x5"])
+    def test_rendered_without_the_pure_python_encoder(
+        self, automaton, kind, decompose, witness_kind, capsys, monkeypatch
+    ):
+        # json.dumps(..., indent=2) runs CPython's pure-Python encoder, which
+        # costs a report more than everything it prints; the report quotes
+        # names with the C encoder and joins the layout itself.
+        a = _escaping_grid() if automaton == "escaping" else gen_grid(3, 5)
+        entries = _json_entries(a, kind, decompose, witness_kind)
+        assert len(entries) == 680 if automaton == "grid3x5" else entries
+        expected = json.dumps(entries, indent=2) + "\n"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pure-Python JSON encoder was called")
+
+        monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+        code, out, err = run_cli(
+            capsys,
+            ["decompose", "--kind", kind, "--format", "json"],
+            stdin=print_dfa(a),
+            monkeypatch=monkeypatch,
+        )
+        assert (code, err) == (0, "")
+        assert out == expected
 
 
 class TestDecomposeReadsOnlyPartitions:

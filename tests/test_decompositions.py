@@ -450,6 +450,36 @@ class TestRedundancy:
             is_redundant(a, d)
         assert str(exc.value) == "source partitions are not elements of the automaton's lattice"
 
+    def test_kind_is_rejected_before_the_sources_are_looked_up(self):
+        a = gen_grid(2, 3)
+        d = decompose_sb(a).entries[0].decomposition
+        stray = Partition([[0, 5], [1], [2], [3], [4]])
+        d = dataclasses.replace(
+            d, kind=DecompositionKind.SI, source_partitions=(stray, d.source_partitions[1])
+        )
+        with pytest.raises(InputError) as exc:
+            is_redundant(a, d)
+        assert str(exc.value) == "no lattice-based construction for kind 'si'"
+
+    def test_a_report_builds_each_mask_once(self):
+        # One build per kind and automaton, however many entries the scan
+        # and the redundancy test read it for.
+        masks = decompositions._emission_mask
+        masks.cache_clear()
+        a = gen_grid(3, 5)
+        assert len(decompose_wai_sufficient(a).entries) == 680
+        assert masks.cache_info().misses == 1
+        for decompose in (decompose_sb, decompose_asb, decompose_ai_sufficient):
+            decompose(a)
+        assert masks.cache_info().misses == 4
+        assert masks.cache_info().currsize == 4
+        # A kind without a lattice construction still raises, every time,
+        # and leaves nothing in the memo.
+        for _ in range(2):
+            with pytest.raises(InputError, match="no lattice-based construction"):
+                decompositions._emission_condition(DecompositionKind.SI, a)
+        assert masks.cache_info().currsize == 4
+
 
 class TestProjectToMinimal:
     def test_distributive_non_minimal_case(self):
