@@ -205,16 +205,30 @@ def _require_same_alphabet(a: Dfa, b: Dfa) -> list[int]:
     return [b.symbol_index(sym) for sym in a.alphabet]
 
 
+def _distinct_names(names: tuple[str, ...]) -> tuple[str, ...]:
+    """``names`` in order, each one already taken prefixed with ``_`` until
+    it is free; returned as given when none collide."""
+    if len(set(names)) == len(names):
+        return names
+    taken: dict[str, None] = {}  # insertion-ordered
+    for q in names:
+        while q in taken:
+            q = "_" + q
+        taken[q] = None
+    return tuple(taken)
+
+
 def parallel_connection(a1: Dfa, a2: Dfa, name: str | None = None) -> Dfa:
     """Product automaton accepting the intersection of the two languages.
 
-    The state set is the full Cartesian product; accepting pairs are those
+    The state set is the full Cartesian product, pair (p, q) named ``p.q``
+    and made distinct by :func:`_distinct_names`; accepting pairs are those
     accepting on both sides.
     """
     cols2 = _require_same_alphabet(a1, a2)
     syms = range(len(a1.alphabet))
     n2 = a2.n
-    states = tuple(f"{p}.{q}" for p in a1.states for q in a2.states)
+    states = _distinct_names(tuple(f"{p}.{q}" for p in a1.states for q in a2.states))
     table = tuple(
         tuple(a1.table[i][a] * n2 + a2.table[j][cols2[a]] for a in syms)
         for i in range(a1.n)

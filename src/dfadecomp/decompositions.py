@@ -28,7 +28,6 @@ from .partitions import (
     Partition,
     SeparationWitness,
     SpLattice,
-    is_distributive,
     join,
     meet,
     minimize,
@@ -362,36 +361,32 @@ def is_redundant(
 
 def project_to_minimal(a: Dfa, d: Decomposition) -> Decomposition | Refusal:
     """Carry a partition-built state-behavior decomposition over to the
-    minimal automaton, shrinking neither factor.
+    minimal automaton M = A/ρ, ρ the Moore partition; no factor grows.
 
-    Requires the source lattice to be distributive; otherwise the size-bounded
-    projection is not guaranteed to exist and a refusal is returned.
+    Each source partition π becomes σ = π ∨ ρ, S.P. on A as a join of S.P.
+    partitions and above ρ, so S.P. on M, with M/σ = A/σ no larger than A/π.
+    M's S.P. lattice is the interval [ρ, 1] of A's, meets included
+    (Hartmanis & Stearns, 1966), so the pair decomposes M exactly when
+    σ1 ∧ σ2 = ρ, the zero of [ρ, 1]: that one meet decides, and a refusal
+    carries both σ on M.  A distributive lattice passes every entry, as
+    (π1 ∨ ρ) ∧ (π2 ∨ ρ) = (π1 ∧ π2) ∨ ρ = ρ, but no lattice is built.  An
+    ``asb`` entry projects as an ``sb`` pair; a trivial projection (a factor
+    of one state, or of |M|) is returned like any other.
     """
     if d.kind not in (DecompositionKind.SB, DecompositionKind.ASB):
         raise InputError("projection is defined for state-behavior decompositions")
     if d.source_partitions is None:
         raise InputError("projection needs the source partitions")
     _require_reachable(a, d.kind)
-    lat = sp_lattice(a)
-    if not is_distributive(lat):
-        return Refusal(
-            "the lattice of substitution-property partitions is not distributive, "
-            "so the size-preserving projection is not guaranteed"
-        )
     mdfa, f = minimize(a)
     labels = [mdfa.state_index(f[q]) for q in a.states]
     rho = Partition.from_assignment(labels)
-    projected = []
-    for pi in d.source_partitions:
-        sigma = join(rho, pi)
-        projected.append(
-            Partition({labels[i] for i in block} for block in sigma.blocks)
-        )
-    p1, p2 = projected
+    p1, p2 = [
+        Partition({labels[i] for i in block} for block in join(rho, pi).blocks)
+        for pi in d.source_partitions
+    ]
     if meet(p1, p2) != Partition.singletons(mdfa.n):
-        raise RuntimeError(
-            "internal invariant violated: projected partitions do not meet to zero"
-        )
+        return Refusal("the projected partitions do not meet to zero", (p1, p2))
     a1 = quotient(mdfa, p1, (), name=f"{mdfa.name}_q1")
     a2 = quotient(mdfa, p2, (), name=f"{mdfa.name}_q2")
     return _entry_from_partitions(mdfa, DecompositionKind.SB, p1, p2, a1, a2, {})

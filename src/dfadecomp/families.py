@@ -11,7 +11,7 @@ import random
 import string
 from typing import Sequence
 
-from .automata import Dfa, trim
+from .automata import Dfa, _distinct_names, trim
 from .errors import InputError
 from .partitions import Partition, minimize
 
@@ -96,16 +96,7 @@ def gen_k_extension(dfa: Dfa, k: int, fresh_symbol: str | None = None) -> Dfa:
             raise InputError("no available fresh symbol")
     elif fresh_symbol in dfa.alphabet:
         raise InputError(f"symbol {fresh_symbol!r} is already in the alphabet")
-    chain = []
-    taken = set(dfa.states)
-    for i in range(k):
-        name = f"p{i}"
-        while name in taken:
-            name = "_" + name
-        taken.add(name)
-        chain.append(name)
-    states = tuple(chain) + dfa.states
-    alphabet = dfa.alphabet + (fresh_symbol,)
+    chain = _distinct_names(dfa.states + tuple(f"p{i}" for i in range(k)))[dfa.n:]
     rows = []
     for i in range(k):
         rows.append(tuple([i] * len(dfa.alphabet)) + (i + 1 if i < k - 1 else k + dfa.initial,))
@@ -113,8 +104,8 @@ def gen_k_extension(dfa: Dfa, k: int, fresh_symbol: str | None = None) -> Dfa:
         rows.append(tuple(k + t for t in dfa.table[i]) + (k + i,))
     return Dfa(
         name=f"{dfa.name}_ext{k}",
-        states=states,
-        alphabet=alphabet,
+        states=chain + dfa.states,
+        alphabet=dfa.alphabet + (fresh_symbol,),
         table=tuple(rows),
         initial=0,
         accepting=frozenset(k + i for i in dfa.accepting),

@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping
 
-from .automata import Dfa, StateMap, trim
+from .automata import Dfa, StateMap, _distinct_names, trim
 from .errors import InputError
 
 # A leader vector: state i lies in the block whose least state is
@@ -460,8 +460,8 @@ def quotient(
 ) -> Dfa:
     """Automaton on the blocks of an S.P. partition.
 
-    ``accepting_blocks`` are block positions into ``pi``.  Block states are
-    named by joining their member names with ``+``.
+    ``accepting_blocks`` are block positions into ``pi``.  Blocks are named
+    by their members joined with ``+``, made distinct by ``_distinct_names``.
     """
     if not is_sp(dfa, pi):
         raise InputError("partition lacks the substitution property")
@@ -470,7 +470,7 @@ def quotient(
         if not 0 <= b < pi.num_blocks:
             raise InputError(f"accepting block index {b} out of range")
         acc.add(b)
-    names = tuple("+".join(dfa.states[i] for i in block) for block in pi.blocks)
+    names = _distinct_names(tuple("+".join(map(dfa.states.__getitem__, b)) for b in pi.blocks))
     table = tuple(
         tuple(pi.block_index[dfa.table[block[0]][a]] for a in range(len(dfa.alphabet)))
         for block in pi.blocks
@@ -501,8 +501,7 @@ def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
     state of the result that simulates it, so ``f(run(dfa, w)) ==
     run(result, w)`` for every word ``w``.
 
-    Merged states are named by joining the member names with ``+`` in the
-    original state order.
+    Merged states are named as :func:`quotient` names blocks.
     """
     base = trim(dfa)
     n = base.n

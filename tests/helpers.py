@@ -61,6 +61,23 @@ def length_counter(p: int, accepting, name: str, alphabet=("a", "b")) -> Dfa:
                tuple(((i + 1) % p,) * len(alphabet) for i in range(p)), 0, frozenset(accepting))
 
 
+PLUS_NAMED_DOC = """dfa ab
+alphabet y z
+states a b a+b
+initial a
+accepting a+b
+trans a y b
+trans a z a+b
+trans b y b
+trans b z a+b
+trans a+b y a+b
+trans a+b z a
+end
+"""
+"""A document whose states a and b merge into a block that quotient names
+``a+b``, beside a state already named ``a+b``."""
+
+
 def words_up_to(alphabet, max_len):
     for length in range(max_len + 1):
         yield from itertools.product(alphabet, repeat=length)

@@ -15,13 +15,14 @@ from dfadecomp import (
     isomorphic,
     minimize,
     parallel_connection,
+    parse_dfa,
     quotient,
     random_dfa,
     reachable_triples,
     run,
     trim,
 )
-from dfadecomp.automata import difference_witness, reachable_indexes
+from dfadecomp.automata import _distinct_names, difference_witness, reachable_indexes
 from dfadecomp.partitions import Partition
 
 import helpers
@@ -261,6 +262,31 @@ class TestReachableTriples:
             frontier = nxt
         assert triples == seen
         assert len(triples) == 12
+
+
+class TestDerivedNames:
+    def test_product_names_are_made_distinct(self):
+        a1 = Dfa("l", ("a.b", "a"), ("x",), ((0,), (1,)), 0, frozenset())
+        a2 = Dfa("r", ("c", "b.c"), ("x",), ((0,), (1,)), 0, frozenset())
+        assert parallel_connection(a1, a2).states == ("a.b.c", "a.b.b.c", "a.c", "_a.b.c")
+
+    def test_merged_block_beside_a_state_of_its_name(self):
+        a = parse_dfa(helpers.PLUS_NAMED_DOC)
+        m, f = minimize(a)
+        assert m.states == ("a+b", "_a+b")
+        assert f == {"a": "a+b", "b": "a+b", "a+b": "_a+b"}
+        assert equivalent(m, a)
+
+    def test_names_are_walked_in_order(self):
+        assert _distinct_names(("x", "x", "_x", "x")) == ("x", "_x", "__x", "___x")
+
+    def test_names_that_do_not_collide_are_kept(self):
+        names = ("q0", "q1+q2", "q3.q4")
+        assert _distinct_names(names) is names
+        a = gen_grid(2, 3)
+        assert parallel_connection(a, a).states == tuple(
+            f"{p}.{q}" for p in a.states for q in a.states
+        )
 
 
 class TestQuotient:

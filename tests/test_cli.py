@@ -118,6 +118,29 @@ class TestPipelines:
         assert code == 0
         assert parse_dfa(out).n == 5
 
+    def test_derived_names_that_collide_are_prefixed(self, capsys, monkeypatch):
+        # quotient names the block {a, b} a+b, so the state a+b becomes _a+b.
+        code, out, err = run_cli(
+            capsys, ["minimize"], stdin=helpers.PLUS_NAMED_DOC, monkeypatch=monkeypatch
+        )
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:5] == [
+            "dfa ab_min",
+            "alphabet y z",
+            "states a+b _a+b",
+            "initial a+b",
+            "accepting _a+b",
+        ]
+        assert parse_dfa(out).n == 2
+        code, out, _ = run_cli(
+            capsys,
+            ["oracle", "--kind", "wai", "--max1", "2", "--max2", "2"],
+            stdin=helpers.PLUS_NAMED_DOC,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "wai: counterexample found (a1=1 states, a2=2 states)"
+
     def test_lattice_lists_partitions(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys, ["lattice"], stdin=print_dfa(gen_grid(2, 2)), monkeypatch=monkeypatch

@@ -26,10 +26,12 @@ from dfadecomp import (
     gen_sb_not_asb,
     is_distributive,
     is_redundant,
+    join,
     leq,
     meet,
     minimize,
     parallel_connection,
+    parse_dfa,
     project_to_minimal,
     quotient,
     random_dfa,
@@ -58,6 +60,12 @@ def _cycle(name, prefix, n, accepting):
     """Unary counter modulo n with states prefix0 .. prefix{n-1}."""
     return Dfa(name, tuple(f"{prefix}{i}" for i in range(n)), ("a",),
                tuple(((i + 1) % n,) for i in range(n)), 0, frozenset(accepting))
+
+
+def _padded_lkl23():
+    """lkl(2,3) run with an all-accepting length counter mod 2."""
+    counter = helpers.length_counter(2, {0, 1}, "len2")
+    return trim(parallel_connection(gen_lkl(2, 3), counter, name="lkl23_pad"))
 
 
 def _parity_padded_a4b4():
@@ -481,6 +489,15 @@ class TestRedundancy:
         assert masks.cache_info().currsize == 4
 
 
+class TestDerivedNames:
+    def test_quotients_beside_a_state_of_the_joined_name(self):
+        a = parse_dfa(helpers.PLUS_NAMED_DOC)
+        (entry,) = decompose_wai_sufficient(a).entries
+        d = entry.decomposition
+        assert d.a1.states == d.a2.states == ("a+b", "_a+b")
+        assert verify("wai", a, d.a1, d.a2)
+
+
 class TestProjectToMinimal:
     def test_distributive_non_minimal_case(self):
         a = _pad6()
@@ -499,12 +516,41 @@ class TestProjectToMinimal:
         assert projected
         assert (projected.a1.n, projected.a2.n) == (d.a1.n, d.a2.n)
 
-    def test_example31_prime_is_refused(self):
+    def test_example31_prime_entries_are_refused_or_trivial(self):
+        # The lattice is not distributive.  Three entries fail the projected
+        # meet, and a refusal carries both projected partitions; the other
+        # three project to trivial pairs, as example31_min has no sb entry.
         _, a_prime = gen_example31()
-        d = decompose_sb(a_prime).entries[0].decomposition
-        result = project_to_minimal(a_prime, d)
-        assert isinstance(result, Refusal)
-        assert "distributive" in result.reason
+        m, _ = minimize(a_prime)
+        refused, sizes = [], []
+        for e in decompose_sb(a_prime).entries:
+            result = project_to_minimal(a_prime, e.decomposition)
+            if isinstance(result, Refusal):
+                assert result.reason == "the projected partitions do not meet to zero"
+                p1, p2 = result.detail
+                assert p1.n == p2.n == m.n
+                assert meet(p1, p2) != Partition.singletons(m.n)
+                refused.append(result)
+            else:
+                assert verify("sb", m, result.a1, result.a2)
+                sizes.append((result.a1.n, result.a2.n))
+        assert len(refused) == 3
+        assert sorted(sizes) == [(1, 5), (2, 5), (3, 5)]
+
+    def test_padded_lkl_projects_ten_of_thirteen_entries(self):
+        # lkl(2,3) times a 2-state length counter: 12 states, a 6-state
+        # minimal automaton, and a lattice that is not distributive.
+        a = _padded_lkl23()
+        m, _ = minimize(a)
+        assert (a.n, m.n) == (12, 6)
+        assert not is_distributive(sp_lattice(a))
+        entries = decompose_sb(a).entries
+        projected = [project_to_minimal(a, e.decomposition) for e in entries]
+        found = [(d.a1.n, d.a2.n) for d in projected if d]
+        assert (len(entries), len(found)) == (13, 10)
+        assert (2, 3) in found
+        for d in filter(None, projected):
+            assert verify("sb", m, d.a1, d.a2)
 
     def test_needs_source_partitions(self):
         a = gen_lkl(2, 3)
@@ -534,27 +580,55 @@ class TestProjectToMinimal:
 
     @settings(deadline=None)
     @given(helpers.dfas(), helpers.dfas())
-    def test_sb_entries_project_onto_the_minimal_automaton(self, b1, b2):
+    def test_projection_is_decided_by_the_projected_meet(self, b1, b2):
+        # Exactly when (pi1 v rho) ^ (pi2 v rho) = rho, computed here on A's
+        # states, a pair comes back; it decomposes M with no larger factors,
+        # and a distributive lattice refuses no entry.
         a = trim(parallel_connection(b1, b2))
-        assume(is_distributive(sp_lattice(a)))
-        m, _ = minimize(a)
-        for e in decompose_sb(a).entries:
-            d = e.decomposition
-            projected = project_to_minimal(a, d)
-            assert verify("sb", m, projected.a1, projected.a2)
-            assert projected.a1.n <= d.a1.n and projected.a2.n <= d.a2.n
-
-    @settings(deadline=None)
-    @given(helpers.dfas(), helpers.dfas())
-    def test_projected_partitions_meet_to_zero(self, b1, b2):
-        a = trim(parallel_connection(b1, b2))
-        assume(is_distributive(sp_lattice(a)))
-        m, _ = minimize(a)
+        m, f = minimize(a)
+        rho = Partition.from_assignment(m.state_index(f[q]) for q in a.states)
+        distributive = is_distributive(sp_lattice(a))
+        decomposable = None
         for decompose in (decompose_sb, decompose_asb):
             for e in decompose(a).entries:
-                p1, p2 = project_to_minimal(a, e.decomposition).source_partitions
-                assert p1.n == p2.n == m.n
-                assert meet(p1, p2) == Partition.singletons(m.n)
+                d = e.decomposition
+                projected = project_to_minimal(a, d)
+                sigma1, sigma2 = (join(pi, rho) for pi in d.source_partitions)
+                assert bool(projected) == (meet(sigma1, sigma2) == rho)
+                assert projected or not distributive
+                if not projected:
+                    continue
+                assert projected.kind is DecompositionKind.SB
+                assert verify("sb", m, projected.a1, projected.a2)
+                assert projected.a1.n <= d.a1.n and projected.a2.n <= d.a2.n
+                if projected.a1.n < m.n and projected.a2.n < m.n:
+                    if decomposable is None:
+                        decomposable = decompose_sb(m)
+                    assert any(x.nontrivial for x in decomposable.entries)
+
+    def test_distributive_lattices_refuse_no_entry(self):
+        # The paper-level statement: in a distributive lattice
+        # (pi1 v rho) ^ (pi2 v rho) = (pi1 ^ pi2) v rho = rho, so every entry projects.
+        rng = random.Random(17)
+        checked = 0
+        for _ in range(120):
+            b1, b2 = (random_dfa(rng, rng.randint(2, 4)) for _ in range(2))
+            a = trim(parallel_connection(b1, b2))
+            if is_distributive(sp_lattice(a)):
+                entries = decompose_sb(a).entries
+                assert all(project_to_minimal(a, e.decomposition) for e in entries)
+                checked += len(entries)
+        assert checked > 0
+
+    def test_builds_no_lattice(self, monkeypatch):
+        cases = [(a, decompose_sb(a).entries) for a in (_padded_lkl23(), gen_example31()[1])]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("project_to_minimal built a lattice")
+
+        monkeypatch.setattr(decompositions, "sp_lattice", refuse)
+        answers = [project_to_minimal(a, e.decomposition) for a, entries in cases for e in entries]
+        assert sum(map(bool, answers)) == 13
 
 
 class TestTransferToMinimal:

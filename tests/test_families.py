@@ -122,6 +122,7 @@ class TestKExtension:
         assert gen_k_extension(base, 1).alphabet[-1] == "c"
         shifted = gen_k_extension(gen_k_extension(base, 1), 1)
         assert shifted.alphabet[-1] == "d"
+        assert shifted.states[:2] == ("_p0", "p0")
         assert gen_k_extension(base, 1, fresh_symbol="z").alphabet[-1] == "z"
         with pytest.raises(InputError):
             gen_k_extension(base, 1, fresh_symbol="a")
