@@ -15,8 +15,9 @@ This bottom layer imports nothing above it: ``minimize`` is in ``partitions``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -44,14 +45,6 @@ class Dfa:
     initial: int
     accepting: frozenset[int]
 
-    _state_index: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _symbol_index: dict[str, int] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
-    _fingerprint: str | None = field(init=False, repr=False, compare=False, default=None)
-
     def __post_init__(self):
         n, s = len(self.states), len(self.alphabet)
         if n == 0:
@@ -70,8 +63,6 @@ class Dfa:
             raise InputError("initial state is not a state of the automaton")
         if not all(0 <= i < n for i in self.accepting):
             raise InputError("accepting set is not a subset of the states")
-        self._state_index.update((q, i) for i, q in enumerate(self.states))
-        self._symbol_index.update((a, i) for i, a in enumerate(self.alphabet))
 
     @classmethod
     def build(
@@ -131,6 +122,14 @@ class Dfa:
     def initial_state(self) -> str:
         return self.states[self.initial]
 
+    @functools.cached_property
+    def _state_index(self) -> dict[str, int]:
+        return {q: i for i, q in enumerate(self.states)}
+
+    @functools.cached_property
+    def _symbol_index(self) -> dict[str, int]:
+        return {a: i for i, a in enumerate(self.alphabet)}
+
     def state_index(self, q: str) -> int:
         try:
             return self._state_index[q]
@@ -144,15 +143,13 @@ class Dfa:
             raise InputError(f"symbol {a!r} is not in the alphabet") from None
 
     def fingerprint(self) -> str:
-        """Stable identity of the transition structure (name excluded),
-        computed on the first call and kept."""
-        if self._fingerprint is None:
-            payload = repr(
-                (self.states, self.alphabet, self.table, self.initial, sorted(self.accepting))
-            )
-            digest = hashlib.sha256(payload.encode()).hexdigest()[:16]
-            object.__setattr__(self, "_fingerprint", digest)
+        """Stable identity of the transition structure (name excluded), kept."""
         return self._fingerprint
+
+    @functools.cached_property
+    def _fingerprint(self) -> str:
+        payload = (self.states, self.alphabet, self.table, self.initial, sorted(self.accepting))
+        return hashlib.sha256(repr(payload).encode()).hexdigest()[:16]
 
 
 def run(dfa: Dfa, word: Word) -> str:
@@ -245,16 +242,20 @@ def parallel_connection(a1: Dfa, a2: Dfa, name: str | None = None) -> Dfa:
     )
 
 
+def _columns(a: Dfa, a1: Dfa, a2: Dfa) -> list[tuple[tuple[int, ...], ...]]:
+    """One (A, A1, A2) successor column per symbol of A: the tables transposed."""
+    cols1 = _require_same_alphabet(a, a1)
+    cols2 = _require_same_alphabet(a, a2)
+    t1, t2 = list(zip(*a1.table)), list(zip(*a2.table))
+    return list(zip(zip(*a.table), (t1[c] for c in cols1), (t2[c] for c in cols2)))
+
+
 def _triple_bfs(a: Dfa, a1: Dfa, a2: Dfa):
     """Joint configurations reachable by a common word, in BFS visit order,
     and ``word_to(triple)``, the word on which the BFS first reaches it.
     Only a seen set is kept: ``word_to`` searches again with parents and
     stops at the triple, so only callers that report a word pay for them."""
-    cols1 = _require_same_alphabet(a, a1)
-    cols2 = _require_same_alphabet(a, a2)
-    # One (A, A1, A2) successor column per symbol: the tables transposed.
-    t1, t2 = list(zip(*a1.table)), list(zip(*a2.table))
-    columns = list(zip(zip(*a.table), (t1[c] for c in cols1), (t2[c] for c in cols2)))
+    columns = _columns(a, a1, a2)
     start = (a.initial, a1.initial, a2.initial)
     seen = {start}
     order = [start]
@@ -297,10 +298,7 @@ def _pair_states(a: Dfa, a1: Dfa, a2: Dfa):
     s, 91 MB).  Rejected there: a dense n1 x n2 list (0.37-0.41 s, but n1 * n2
     slots whatever is reachable, 800 MB at 10^4 states), a BFS by levels with
     ``map`` (0.70-0.88 s) and successor tuples zipped per pair (0.57-0.63 s)."""
-    cols1 = _require_same_alphabet(a, a1)
-    cols2 = _require_same_alphabet(a, a2)
-    t1, t2 = list(zip(*a1.table)), list(zip(*a2.table))
-    columns = list(zip(zip(*a.table), (t1[c] for c in cols1), (t2[c] for c in cols2)))
+    columns = _columns(a, a1, a2)
     seen: list[dict[int, int]] = [{} for _ in range(a1.n)]
     seen[a1.initial][a2.initial] = a.initial
     js, ks, firsts = [a1.initial], [a2.initial], [a.initial]

@@ -37,6 +37,7 @@ from .families import (
 from .oracle import (
     ExhaustionCertificate,
     SearchBudget,
+    _count_text,
     certify_undecomposable,
     estimate_search_space,
 )
@@ -53,12 +54,11 @@ _WITNESS_KIND = {
 
 
 def _load_dfa(path: str | None) -> Dfa:
-    if path is None or path == "-":
-        return parse_dfa(sys.stdin.read())
+    stdin = path is None or path == "-"
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path!r}: {exc}") from None
+        text = sys.stdin.read() if stdin else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {'stdin' if stdin else repr(path)}: {exc}") from None
     return parse_dfa(text)
 
 
@@ -207,7 +207,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     dfa = _load_dfa(args.input)
     budget = SearchBudget(args.max1, args.max2, canonical_only=not args.all_candidates)
     estimate = estimate_search_space(dfa, budget, args.kind)
-    print(f"# search space estimate: {estimate}", file=sys.stderr)
+    print(f"# search space estimate: {_count_text(estimate)}", file=sys.stderr)
     result = certify_undecomposable(args.kind, dfa, budget)
     if isinstance(result, ExhaustionCertificate):
         print(

@@ -28,6 +28,7 @@ from .partitions import (
     Partition,
     SeparationWitness,
     SpLattice,
+    _key,
     join,
     meet,
     minimize,
@@ -241,21 +242,19 @@ def _emission_condition(kind: DecompositionKind, a: Dfa) -> Callable[[int, int],
 
 @functools.lru_cache(maxsize=16)
 def _emission_mask(kind: DecompositionKind, n: int, accepting: frozenset[int]) -> int:
-    """The mask of :func:`_emission_condition`, a pure function of its values."""
-    accepted = sum(1 << i for i in accepting)
-    rejecting = (1 << n) - 1 - accepted
+    """The mask of :func:`_emission_condition`, a pure function of its values,
+    from the keys of the one-block, singleton and acceptance-split partitions."""
+    every_pair = _key(Partition.whole(n).leaders)
     if kind == DecompositionKind.SB:
-        return (1 << n * n) - 1
-    if kind == DecompositionKind.ASB:
-        return (1 << n * n) - 1 | rejecting << n * n
-    if kind == DecompositionKind.AI:
-        return rejecting << n * n
+        return every_pair
     if kind == DecompositionKind.WAI:
-        # Row i of the mixed pairs holds the states above i of the other acceptance.
-        return sum(
-            ((rejecting if i in accepting else accepted) >> i + 1) << (i * n + i + 1)
-            for i in range(n)
-        )
+        split = Partition.from_assignment(i in accepting for i in range(n))
+        return every_pair & ~_key(split.leaders)
+    rejecting = _key(Partition.singletons(n).leaders, set(range(n)) - accepting)
+    if kind == DecompositionKind.AI:
+        return rejecting
+    if kind == DecompositionKind.ASB:
+        return every_pair | rejecting
     raise InputError(f"no lattice-based construction for kind {kind.value!r}")
 
 

@@ -120,6 +120,15 @@ def estimate_search_space(
     )
 
 
+def _count_text(count: int) -> str:
+    """``count`` in decimal, or, past Python's limit on the digits of an
+    integer string conversion, the largest power of two it reaches."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"at least 2**{count.bit_length() - 1}"
+
+
 def _pair_count(m1: int, m2: int, canonical_only: bool, kind: DecompositionKind, tables) -> int:
     """Candidate pairs of up to m1 and m2 states.  Per side and size k this
     counts ``tables(k)`` transition tables, times k initial states (dropped
@@ -439,7 +448,7 @@ def certify_undecomposable(
     estimate = estimate_search_space(dfa, budget, kind)
     if estimate > FEASIBILITY_BOUND:
         raise BudgetError(
-            f"estimated candidate count {estimate} exceeds the feasibility "
+            f"estimated candidate count {_count_text(estimate)} exceeds the feasibility "
             f"bound {FEASIBILITY_BOUND}",
             estimate=estimate,
         )

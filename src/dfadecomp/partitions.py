@@ -75,6 +75,19 @@ def _join(x: Leaders, merges: Iterable[tuple[int, int]]) -> Leaders:
     return tuple(_resolve(root))
 
 
+def _key(x: Leaders, marked: Iterable[int] = ()) -> int:
+    """``P | S << n*n``, the layout of ``SpLattice.keys``, for x on n states:
+    P has bit ``p*n + t`` per pair p < t x merges, so P(x ∧ y) = P(x) & P(y)
+    and x ≤ y iff P(x) & ~P(y) == 0; S, bit i per state in a marked block."""
+    n = len(x)
+    members = [0] * n  # block leader -> its states as a bit set
+    for i, lab in enumerate(x):
+        members[lab] |= 1 << i
+    # Row i of the pair bits holds the block-mates of i above i.
+    pairs = sum((members[lab] >> i + 1) << (i * n + i + 1) for i, lab in enumerate(x))
+    return pairs | sum(members[lab] for lab in {x[i] for i in marked}) << n * n
+
+
 def _leq(x: Leaders, y: Leaders) -> bool:
     """True iff x refines y, any labelling: each state has its x leader's y label."""
     return all(y[i] == y[xi] for i, xi in enumerate(x))
@@ -277,10 +290,7 @@ class SpLattice:
     Every upper cover of the element is among them: if y covers x, some
     irreducible j ≤ y has j ≰ x, and x < x ∨ j ≤ y.  So every strictly
     coarser element lies above one of them.
-    ``keys[i]`` is ``P | S << n*n`` for ``elements[i]`` over n states: P has
-    bit ``p*n + t`` for each pair p < t the element merges, so
-    P(x ∧ y) = P(x) & P(y) and x ≤ y iff P(x) & ~P(y) == 0; S has bit i for
-    each state whose block meets the accepting set.
+    ``keys[i]`` is ``_key(elements[i].leaders, accepting states)``.
     """
 
     dfa_fingerprint: str
@@ -368,18 +378,11 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
                 made.append((k, r, p, t))
             row.append(i)
         joins.append(row)
-    pairs, keys = [], []
-    for x in found:
-        members = [0] * n  # block leader -> its states as a bit set
-        for i, lab in enumerate(x):
-            members[lab] |= 1 << i
-        # Row i of the pair bits holds the block-mates of i above i.
-        pairs.append(sum((members[lab] >> i + 1) << (i * n + i + 1) for i, lab in enumerate(x)))
-        accepting = sum(members[lab] for lab in {x[i] for i in dfa.accepting})
-        keys.append(pairs[-1] | accepting << n * n)
+    keys = [_key(x, dfa.accepting) for x in found]
     if check_meet_closure and len(found) <= 1000:
-        merged = set(pairs)
-        if not all(p & q in merged for p, q in itertools.combinations(pairs, 2)):
+        every_pair = _key((0,) * n)  # the one-block partition's key
+        merged = {key & every_pair for key in keys}
+        if not all(p & q in merged for p, q in itertools.combinations(merged, 2)):
             raise RuntimeError("internal invariant violated: lattice not meet-closed")
     partitions = [Partition._from_leaders(z) for z in found]
     order = sorted(

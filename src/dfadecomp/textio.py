@@ -141,11 +141,26 @@ def parse_dfas(text: str) -> list[Dfa]:
 
 
 def print_dfa(dfa: Dfa) -> str:
-    """Canonical document text; ``parse_dfa(print_dfa(a))`` reproduces ``a``."""
+    """Canonical document text; ``parse_dfa(print_dfa(a))`` reproduces ``a``.
+
+    Raises :class:`InputError` for the first name, symbol or state that the
+    reader would not read back as one token: an empty one, or one holding
+    whitespace or ``#``.  The later lines repeat these tokens only.
+    """
     lines = [
         f"dfa {dfa.name}",
         "alphabet " + " ".join(dfa.alphabet),
         "states " + " ".join(dfa.states),
+    ]
+    # The reader drops each line from a '#' on and splits the rest at whitespace.
+    head = "\n".join(lines)
+    tokens = ["dfa", dfa.name, "alphabet", *dfa.alphabet, "states", *dfa.states]
+    if "#" in head or head.split() != tokens:
+        named = [("name", dfa.name), *(("symbol", a) for a in dfa.alphabet)]
+        named += [("state", q) for q in dfa.states]
+        what, token = next((w, t) for w, t in named if "#" in t or t.split() != [t])
+        raise InputError(f"{what} {token!r} cannot be written as one document token")
+    lines += [
         f"initial {dfa.initial_state}",
         ("accepting " + " ".join(q for i, q in enumerate(dfa.states) if i in dfa.accepting)).rstrip(),
     ]

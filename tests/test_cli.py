@@ -10,10 +10,12 @@ import pytest
 
 import dfadecomp
 from dfadecomp import (
+    SearchBudget,
     decompose_ai_sufficient,
     decompose_asb,
     decompose_sb,
     decompose_wai_sufficient,
+    estimate_search_space,
     gen_a4b4_triple,
     gen_example31,
     gen_grid,
@@ -200,6 +202,51 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, ["minimize", missing])
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read {missing!r}: ")
+
+    def test_undecodable_file_is_exit_two(self, capsys, tmp_path):
+        bad = tmp_path / "bad.dfa"
+        bad.write_bytes(b"dfa x\xff\n")
+        code, out, err = run_cli(capsys, ["minimize", str(bad)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {str(bad)!r}: ")
+        assert err.count("\n") == 1
+
+    def test_undecodable_stdin_is_exit_two(self, capsys, monkeypatch):
+        # A strictly decoding stdin, as PYTHONIOENCODING=utf-8 gives.
+        stdin = io.TextIOWrapper(io.BytesIO(b"dfa x\xff\n"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, ["minimize"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot read stdin: ")
+        assert err.count("\n") == 1
+
+    def test_oracle_estimate_past_the_digit_limit_is_exit_three(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys,
+            ["oracle", "--kind", "si", "--max1", "499", "--max2", "499"],
+            stdin=print_dfa(gen_grid(20, 25)),
+            monkeypatch=monkeypatch,
+        )
+        estimate, error = err.splitlines()
+        assert (code, out) == (3, "")
+        assert estimate.startswith("# search space estimate: ")
+        assert error.startswith("error: estimated candidate count ")
+        assert error.endswith(" exceeds the feasibility bound 100000000")
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            assert estimate.startswith("# search space estimate: at least 2**")
+
+    def test_oracle_estimate_within_the_digit_limit_prints_every_digit(
+        self, capsys, monkeypatch
+    ):
+        code, _, err = run_cli(
+            capsys,
+            ["oracle", "--kind", "si", "--max1", "60", "--max2", "60"],
+            stdin=print_dfa(gen_grid(8, 8)),
+            monkeypatch=monkeypatch,
+        )
+        estimate = estimate_search_space(gen_grid(8, 8), SearchBudget(60, 60), "si")
+        assert code == 3
+        assert err.splitlines()[0] == f"# search space estimate: {estimate}"
 
     def test_oracle_cap_below_one_is_exit_two(self, capsys, monkeypatch):
         code, out, err = run_cli(

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -189,6 +190,22 @@ class TestCertify:
         with pytest.raises(BudgetError) as exc:
             certify_undecomposable("ai", big, SearchBudget(8, 8, canonical_only=False))
         assert exc.value.estimate > 10**8
+
+    def test_an_estimate_past_the_digit_limit_is_a_budget_error(self):
+        # 500 states at caps (499, 499): the estimate has over 5000 digits,
+        # more than Python converts to a string by default.
+        a, budget = gen_grid(20, 25), SearchBudget(499, 499)
+        with pytest.raises(BudgetError) as exc:
+            certify_undecomposable("si", a, budget)
+        estimate = exc.value.estimate
+        assert estimate == estimate_search_space(a, budget, "si")
+        bits = estimate.bit_length() - 1
+        if getattr(sys, "get_int_max_str_digits", lambda: 0)():
+            assert str(exc.value) == (
+                f"estimated candidate count at least 2**{bits} exceeds the "
+                f"feasibility bound {oracle.FEASIBILITY_BOUND}"
+            )
+        assert 2**bits <= estimate < 2 ** (bits + 1)
 
     def test_sb_kind_rejected(self):
         with pytest.raises(InputError):

@@ -54,6 +54,24 @@ class TestRoundTrip:
         assert "accepting" in text.splitlines()
         assert parse_dfa(text) == dfa
 
+    @pytest.mark.parametrize(
+        "name, alphabet, states, refused",
+        [
+            ("x", ("a b", "c#d"), ("s",), "symbol 'a b'"),
+            ("x#y", ("a",), ("s",), "name 'x#y'"),
+            ("x", ("a",), ("s", ""), "state ''"),
+            ("x", ("a",), ("s", "t\n"), "state 't\\n'"),
+        ],
+    )
+    def test_a_token_the_reader_would_split_is_refused(self, name, alphabet, states, refused):
+        # Each of these used to print a document that parse_dfa refuses or
+        # reads back as another automaton.
+        table = tuple((0,) * len(alphabet) for _ in states)
+        dfa = Dfa(name, states, alphabet, table, 0, frozenset({0}))
+        with pytest.raises(InputError) as exc:
+            print_dfa(dfa)
+        assert str(exc.value) == f"{refused} cannot be written as one document token"
+
     def test_multi_document_stream(self):
         docs = print_dfa(gen_ln(2)) + print_dfa(gen_lkl(2, 2))
         parsed = parse_dfas(docs)
