@@ -8,22 +8,22 @@ and cuts a branch as soon as the joint run through the entries set so far
 shows a conflict.  ``ai`` and ``wai`` search the minimal automaton, ``wai``
 as ``si``; ``ai`` computes the first automaton's accepting set instead of
 enumerating it; size and first-factor bounds skip what cannot hold the first
-pair; and all candidates, every initial state included, are walked only to
-name a pair that the canonical candidates have shown to exist.
+pair, while the first automaton is still a flat table, which becomes a ``Dfa``
+only once it is kept; and all candidates, every initial state included, are
+walked only to name a pair that the canonical candidates have shown to exist.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .automata import Dfa, _triple_bfs
+from .automata import Dfa
 from .decompositions import Decomposition, DecompositionKind, _as_kind, _require_reachable, verify
 from .errors import BudgetError, InputError
-from .partitions import Partition, is_sp, minimize
+from .partitions import Partition, _hopcroft, is_sp, minimize
 
 # Direct partition enumeration is capped by the Bell numbers; B(9) = 21147.
 _BRUTE_STATE_LIMIT = 9
@@ -237,16 +237,16 @@ class _PairSearch:
 
     Each level of the walk keeps its own state, one list of bit sets:
     ``reached[k]`` holds the pairs (i, j) reached with a2 state k.  A pair's
-    bit is its position in ``order``, the visit order of
-    ``_triple_bfs(a, a1, a1)``, since no run meets any other pair; the
-    initial pair is bit 0.  Every conflict is two pairs at one k, so each
-    pair's conflicts are one mask, ``clash[b]``: under ``si`` the pairs of
-    its j with another i, under ``ai`` (for an accepting j) the pairs of
-    accepting j's whose i differs on acceptance.  The tables are built at
+    bit is its position in ``order``, the (a, a1) pairs reachable by a
+    common word in breadth-first visit order, since no run meets any other
+    pair; the initial pair is bit 0.  Every conflict is two pairs at one k,
+    so each pair's conflicts are one mask, ``clash[b]``: under ``si`` the
+    pairs of its j with another i, under ``ai`` (for an accepting j) the
+    pairs of accepting j's whose i differs on acceptance.  The tables are built at
     the first walk, so a first automaton that every l skips never pays for them.
     """
 
-    def __init__(self, ai: bool, a: Dfa, a1: Dfa, order: list[tuple[int, int, int]]):
+    def __init__(self, ai: bool, a: Dfa, a1: Dfa, order: list[tuple[int, int]]):
         self.ai, self.a, self.a1, self.order = ai, a, a1, order
         self.nodes = 0
 
@@ -254,8 +254,7 @@ class _PairSearch:
     def _tables(self) -> tuple[list[list[int]], list[int], int]:
         """``step[u][b]``, the pair that pair b moves to by symbol u;
         ``clash``; and the pairs of an accepting i and j, under ai."""
-        a, a1 = self.a, self.a1
-        pairs = [(i, j) for i, j, _ in self.order]
+        a, a1, pairs = self.a, self.a1, self.order
         index = {pair: b for b, pair in enumerate(pairs)}
         step = [
             [index[a.table[i][u], a1.table[j][u]] for i, j in pairs]
@@ -327,6 +326,50 @@ class _PairSearch:
         return _rows(flat, l, s), root, accepting
 
 
+def _first_factors(
+    ai: bool, m: Dfa, alphabet: tuple[str, ...], k: int, max_l: int, canonical_only: bool
+) -> Iterator[tuple[int, Dfa, list[tuple[int, int]]]]:
+    """``(least l, a1, pair order)`` for each k-state first automaton, in
+    ``candidate_automata`` order, that neither the fan nor the minimal first
+    factor skips at every l up to ``max_l``.
+
+    A first automaton stays the flat table that ``_table_walk`` yields, and
+    becomes a ``Dfa`` only once it is kept.  One breadth-first search over
+    M's table and the table's rows gives the pair order: the (M, a1) pairs
+    reachable by a common word, in visit order.  The fan (si, wai) is the
+    most pairs at one a1 state; the search stops at the first a1 state it
+    visits for the (max_l + 1)-th time.  Under ai the pairs give F1*, and a1
+    with F1* is minimal iff its reachable states, those of the pairs, carry
+    k distinct ``_hopcroft`` labels: unreachable states cannot change which
+    reachable states are equivalent, so this is ``minimize``'s answer with
+    or without them.
+    """
+    s = len(alphabet)
+    for flat in _table_walk(k, s, canonical_only):
+        rows = _rows(flat, k, s)
+        for initial in (0,) if canonical_only else range(k):
+            order = [(m.initial, initial)]
+            seen = set(order)
+            fan = [0] * k  # the pairs visited so far at each a1 state
+            for i, j in order:  # ``order`` grows while this loop runs
+                fan[j] += 1
+                if fan[j] > max_l and not ai:
+                    break  # the fan skips a1 at every l up to max_l
+                for pair in zip(m.table[i], rows[j]):
+                    if pair not in seen:
+                        seen.add(pair)
+                        order.append(pair)
+            else:
+                accepting = ()
+                if ai:
+                    accepting = {j for i, j in order if i in m.accepting}  # F1*
+                    labels = _hopcroft(rows, accepting)
+                    if len({labels[j] for _, j in order}) < k:
+                        continue  # a1 with F1* is not minimal
+                least_l = 1 if ai else max(fan)
+                yield least_l, _candidate(alphabet, rows, initial, accepting), order
+
+
 def _first_pair(
     kind: DecompositionKind, dfa: Dfa, m: Dfa, sizes: list[tuple[int, int]], canonical_only: bool
 ) -> tuple[Decomposition | None, int]:
@@ -334,11 +377,12 @@ def _first_pair(
     ``sizes``, a list of (k, l) in lexicographic order, or None if there is
     none; and the entries set over the sizes searched through.
 
-    The first automaton is enumerated whole.  The second one's table is set
-    an entry at a time, in the same order, while ``_PairSearch`` follows the
-    triples reachable through the entries set so far, and a branch is cut at
-    the kind's first conflict.  This finds exactly the enumerator's first
-    pair: the triples reachable through a prefix are reachable in every
+    The first automaton is enumerated whole, and stays a table until
+    ``_first_factors`` keeps it.  The second one's table is set an entry at
+    a time, in the same order, while ``_PairSearch`` follows the triples
+    reachable through the entries set so far, and a branch is cut at the
+    kind's first conflict.  This finds exactly the enumerator's first pair:
+    the triples reachable through a prefix are reachable in every
     completion of it, so a conflict of the prefix is a conflict of all of
     them, and the leaves are reached in table order.  At a complete table
     the triples are the pair's reachable ones, so a run without conflict
@@ -351,19 +395,9 @@ def _first_pair(
     nodes = 0
     for k, at_k in itertools.groupby(sizes, key=lambda size: size[0]):
         ls = [l for _, l in at_k]
-        firsts = []  # (the least l a1 may pair with, the search of a1)
-        for a1 in candidate_automata(k, dfa.alphabet, canonical_only):
-            order, _ = _triple_bfs(m, a1, a1)
-            if ai:
-                forced = {j for i, j, _ in order if i in m.accepting}
-                a1 = _candidate(dfa.alphabet, a1.table, a1.initial, forced)
-                if minimize(a1)[0].n < k:
-                    continue
-                least_l = 1
-            else:  # the fan
-                least_l = max(Counter(j for _, j, _ in order).values())
-            if least_l <= ls[-1]:
-                firsts.append((least_l, _PairSearch(ai, m, a1, order)))
+        kept = _first_factors(ai, m, dfa.alphabet, k, ls[-1], canonical_only)
+        # (the least l a1 may pair with, the search of a1)
+        firsts = [(least_l, _PairSearch(ai, m, a1, order)) for least_l, a1, order in kept]
         for l in ls:
             for least_l, search in firsts:
                 if l < least_l:

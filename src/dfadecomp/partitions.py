@@ -488,32 +488,28 @@ def quotient(
     )
 
 
-def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
-    """Minimal DFA for the same language, plus the merging map.
+def _hopcroft(table, accepting) -> list[int]:
+    """A block label per state of a complete transition table (rows of
+    successor indexes, one column per symbol): two states carry one label
+    iff the same words lead them to ``accepting``.
 
-    Unreachable states are removed first; the result is then the quotient
-    by the Moore partition, the coarsest substitution-property partition
-    that refines the accepting/rejecting split.  That partition is unique,
-    so any refinement that reaches it gives the same blocks; Hopcroft's
-    algorithm ("An n log n algorithm for minimizing states in a finite
-    automaton", 1971) finds it in O(|Σ|·n log n).  Each block waiting as a
-    splitter cuts every block with some, but not all, states entering it on
-    one symbol; a split moves only those states, and queues the block's
-    new half if the block is waiting already, its smaller half otherwise.
-    The returned map sends every reachable state of the input onto the
-    state of the result that simulates it, so ``f(run(dfa, w)) ==
-    run(result, w)`` for every word ``w``.
-
-    Merged states are named as :func:`quotient` names blocks.
+    These blocks form the Moore partition, the coarsest substitution-property
+    partition that refines the accepting/rejecting split.  That partition is
+    unique, so any refinement that reaches it gives the same blocks;
+    Hopcroft's algorithm ("An n log n algorithm for minimizing states in a
+    finite automaton", 1971) finds it in O(|Σ|·n log n).  Each block waiting
+    as a splitter cuts every block with some, but not all, states entering
+    it on one symbol; a split moves only those states, and queues the
+    block's new half if the block is waiting already, its smaller half
+    otherwise.
     """
-    base = trim(dfa)
-    n = base.n
-    preimages = [[[] for _ in range(n)] for _ in base.alphabet]
-    for i, row in enumerate(base.table):
+    n = len(table)
+    preimages = [[[] for _ in range(n)] for _ in table[0]]
+    for i, row in enumerate(table):
         for pre, j in zip(preimages, row):
             pre[j].append(i)
-    block = [int(i not in base.accepting) for i in range(n)]
-    members = [set(base.accepting), set(range(n)).difference(base.accepting)]
+    block = [int(i not in accepting) for i in range(n)]
+    members = [set(accepting), set(range(n)).difference(accepting)]
     # Every state enters the whole state set on each symbol, so the accepting
     # and the rejecting states split alike: the smaller set is the only
     # splitter to start with.
@@ -534,7 +530,22 @@ def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
                 for i in xs:
                     block[i] = new
                 waiting.add(new if y in waiting or len(xs) <= len(members[y]) else y)
-    pi = Partition._from_leaders(_leaders(block))
+    return block
+
+
+def minimize(dfa: Dfa) -> tuple[Dfa, StateMap]:
+    """Minimal DFA for the same language, plus the merging map.
+
+    Unreachable states are removed first; the result is then the quotient
+    by the Moore partition, which ``_hopcroft`` finds.  The returned map
+    sends every reachable state of the input onto the state of the result
+    that simulates it, so ``f(run(dfa, w)) == run(result, w)`` for every
+    word ``w``.
+
+    Merged states are named as :func:`quotient` names blocks.
+    """
+    base = trim(dfa)
+    pi = Partition._from_leaders(_leaders(_hopcroft(base.table, base.accepting)))
     accepting = {pi.block_index[i] for i in base.accepting}
     result = quotient(base, pi, accepting, name=dfa.name + "_min")
     mapping: StateMap = {q: result.states[b] for q, b in zip(base.states, pi.block_index)}

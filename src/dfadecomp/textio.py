@@ -143,10 +143,14 @@ def parse_dfas(text: str) -> list[Dfa]:
 def print_dfa(dfa: Dfa) -> str:
     """Canonical document text; ``parse_dfa(print_dfa(a))`` reproduces ``a``.
 
-    Raises :class:`InputError` for the first name, symbol or state that the
-    reader would not read back as one token: an empty one, or one holding
-    whitespace or ``#``.  The later lines repeat these tokens only.
+    Raises :class:`InputError` for an automaton with no symbols, whose
+    ``alphabet`` line the reader refuses, and for the first name, symbol or
+    state that the reader would not read back as one token: an empty one,
+    or one holding whitespace or ``#``.  The later lines repeat these tokens
+    only.
     """
+    if not dfa.alphabet:
+        raise InputError("an automaton with no symbols cannot be written as a document")
     lines = [
         f"dfa {dfa.name}",
         "alphabet " + " ".join(dfa.alphabet),

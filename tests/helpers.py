@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
+from collections import Counter, deque
 
 from hypothesis import strategies as st
 
@@ -29,12 +29,13 @@ from dfadecomp import (
     estimate_search_space,
     leq,
     meet,
+    minimize,
     separates_finals,
     verify,
 )
-from dfadecomp.automata import _require_same_alphabet, reachable_indexes, trim
+from dfadecomp.automata import _require_same_alphabet, _triple_bfs, reachable_indexes, trim
 from dfadecomp.decompositions import Refusal, _as_kind, _require_reachable
-from dfadecomp.oracle import FEASIBILITY_BOUND
+from dfadecomp.oracle import FEASIBILITY_BOUND, _candidate, candidate_automata
 from dfadecomp.partitions import quotient
 from dfadecomp.textio import _token_lines
 
@@ -378,6 +379,28 @@ def certify_by_enumeration(kind, dfa: Dfa, budget: SearchBudget):
         estimate=estimate,
         nodes_visited=examined,
     )
+
+
+def first_factors_by_route(
+    ai: bool, m: Dfa, alphabet: tuple[str, ...], k: int, max_l: int, canonical_only: bool
+):
+    """``oracle._first_factors`` as its earlier route: a ``Dfa`` per
+    candidate, ``_triple_bfs(m, a1, a1)``, the fan from a ``Counter`` and,
+    under ai, ``minimize`` of a1 with its forced accepting set F1*."""
+    kept = []
+    for a1 in candidate_automata(k, alphabet, canonical_only):
+        order, _ = _triple_bfs(m, a1, a1)
+        if ai:
+            forced = {j for i, j, _ in order if i in m.accepting}
+            a1 = _candidate(alphabet, a1.table, a1.initial, forced)
+            if minimize(a1)[0].n < k:
+                continue
+            least_l = 1
+        else:
+            least_l = max(Counter(j for _, j, _ in order).values())
+        if least_l <= max_l:
+            kept.append((least_l, a1, [(i, j) for i, j, _ in order]))
+    return kept
 
 
 def triple_bfs_with_parents(a: Dfa, a1: Dfa, a2: Dfa):

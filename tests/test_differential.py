@@ -2,7 +2,8 @@
 lattice, its pair-graph components, its join-irreducibles and join steps, its
 pair-mask keys, the emission conditions,
 redundancy and distributivity against brute force, ``verify``, ``minimize``
-and the product and pair searches against their earlier forms in helpers, and
+and the product and pair searches and the oracle's first factors against
+their earlier forms in helpers, and
 the word of an ``ai`` refusal against enumeration."""
 
 import dataclasses
@@ -46,7 +47,8 @@ from dfadecomp import (
 )
 from dfadecomp.automata import _pair_states, _triple_bfs, reachable_indexes
 from dfadecomp.decompositions import _emission_condition, _entry_from_partitions
-from dfadecomp.partitions import _pair_components, quotient
+from dfadecomp.oracle import _first_factors, candidate_automata
+from dfadecomp.partitions import _hopcroft, _pair_components, quotient
 
 import helpers
 
@@ -505,3 +507,53 @@ def test_minimize_matches_the_signature_form():
         sizes.add(new.n)
     # Chains and products reach 60 states; with every state accepting or none, one is left.
     assert 1 in sizes and max(sizes) >= 60
+
+
+def test_hopcroft_labels_give_minimize_partition():
+    """``_hopcroft`` over a whole table, unreachable states included: two
+    states share a label iff no word tells them apart, and on the reachable
+    states the labels give ``minimize``'s partition."""
+    untrimmed = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        a = random_dfa(rng, rng.randint(1, 6), ("a", "b")[: rng.randint(1, 2)])
+        labels = _hopcroft(a.table, a.accepting)
+        separated = helpers.distinguishable_pairs(a)
+        for p, q in itertools.combinations(range(a.n), 2):
+            assert (labels[p] == labels[q]) == (frozenset((p, q)) not in separated), seed
+        merged = minimize(a)[1]
+        reachable = reachable_indexes(a)
+        for p, q in itertools.combinations(reachable, 2):
+            same = merged[a.states[p]] == merged[a.states[q]]
+            assert (labels[p] == labels[q]) == same, seed
+        untrimmed += len(reachable) < a.n
+    assert untrimmed >= 100
+
+
+@pytest.mark.parametrize("canonical_only", [True, False], ids=["canonical", "all"])
+def test_first_factors_match_their_earlier_route(canonical_only):
+    """``oracle._first_factors`` keeps the first factors, with the same least
+    l, pair order and F1*, that ``_triple_bfs``, the ``Counter`` fan and
+    ``minimize`` kept: every candidate of 1-3 states over 1-2 symbols and of
+    1-2 states over 3 symbols, against seeded random trimmed automata
+    (one-state and unary ones included) under ai, si and wai, at each
+    largest second size up to 3 and at the automaton's size, which no fan
+    exceeds."""
+    skipped = set()
+    for seed in range(12):
+        rng = random.Random(seed)
+        alphabet = ("a", "b", "c")[: seed % 3 + 1]
+        a = random_dfa(rng, 1 if seed < 3 else rng.randint(2, 6), alphabet, trim_unreachable=True)
+        for kind in ("ai", "si", "wai"):
+            ai, m = kind == "ai", a if kind == "si" else minimize(a)[0]
+            for k in range(1, 4 if len(alphabet) < 3 else 3):
+                every = len(list(candidate_automata(k, alphabet, canonical_only)))
+                route = helpers.first_factors_by_route(ai, m, alphabet, k, a.n, canonical_only)
+                if len(route) < every:
+                    skipped.add("non-minimal first factor")
+                for max_l in (1, 2, 3, a.n):
+                    new = list(_first_factors(ai, m, alphabet, k, max_l, canonical_only))
+                    assert new == [f for f in route if f[0] <= max_l], (seed, kind, k, max_l)
+                    if len(new) < len(route):
+                        skipped.add("fan")
+    assert skipped == {"non-minimal first factor", "fan"}

@@ -430,10 +430,10 @@ def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeyp
 @st.composite
 def _search_cases(draw):
     """A trimmed automaton of 1-5 states over 1-2 symbols, a canonical first
-    factor of 1-3 states (accepting its forced set under ai) with its product
-    search order, a second factor size l of 1-3, and a walk of canonical
-    tables from initial state 0 or of all tables from one initial state in
-    range(l)."""
+    factor of 1-3 states (accepting its forced set under ai) with its (a, a1)
+    pair order, projected from the product search's triples, a second factor
+    size l of 1-3, and a walk of canonical tables from initial state 0 or of
+    all tables from one initial state in range(l)."""
     alphabet = ("a", "b")[: draw(st.integers(1, 2))]
     n = draw(st.integers(1, 5))
     table = tuple(tuple(draw(st.integers(0, n - 1)) for _ in alphabet) for _ in range(n))
@@ -441,9 +441,9 @@ def _search_cases(draw):
     a = trim(Dfa("h", tuple(f"q{i}" for i in range(n)), alphabet, table, 0, accepting))
     ai = draw(st.booleans())
     a1 = draw(st.sampled_from(list(candidate_automata(draw(st.integers(1, 3)), alphabet))))
-    order, _ = _triple_bfs(a, a1, a1)
+    order = [(i, j) for i, j, _ in _triple_bfs(a, a1, a1)[0]]
     if ai:
-        forced = frozenset(j for i, j, _ in order if i in a.accepting)
+        forced = frozenset(j for i, j in order if i in a.accepting)
         a1 = dataclasses.replace(a1, accepting=forced)
     l = draw(st.integers(1, 3))
     canonical = draw(st.booleans())

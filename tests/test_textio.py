@@ -72,6 +72,13 @@ class TestRoundTrip:
             print_dfa(dfa)
         assert str(exc.value) == f"{refused} cannot be written as one document token"
 
+    def test_an_automaton_with_no_symbols_is_refused(self):
+        # This used to print the line "alphabet ", which parse_dfa refuses.
+        dfa = Dfa("x", ("s",), (), ((),), 0, frozenset())
+        with pytest.raises(InputError) as exc:
+            print_dfa(dfa)
+        assert str(exc.value) == "an automaton with no symbols cannot be written as a document"
+
     def test_multi_document_stream(self):
         docs = print_dfa(gen_ln(2)) + print_dfa(gen_lkl(2, 2))
         parsed = parse_dfas(docs)
