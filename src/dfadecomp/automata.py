@@ -91,8 +91,6 @@ class Dfa:
                 raise InputError(f"transition on unknown symbol {a!r}")
             if target not in sidx:
                 raise InputError(f"transition to unknown state {target!r}")
-            if rows[sidx[q]][aidx[a]] != -1:
-                raise InputError(f"duplicate transition for ({q!r}, {a!r})")
             rows[sidx[q]][aidx[a]] = sidx[target]
         for q in states:
             for a in alphabet:

@@ -86,7 +86,9 @@ class Decomposition:
 class ReportEntry:
     """One reported pair of lattice elements.  The flags read only the
     quotients' sizes, the partitions' block counts; ``decomposition`` is
-    built the first time it is read, then kept."""
+    built the first time it is read, then kept.  Only elements other than
+    the bottom and the top are paired, each of 2 to n-1 blocks, so every
+    entry is ``nontrivial``: both quotients are smaller than the automaton."""
 
     source_partitions: tuple[Partition, Partition]
     nontrivial: bool
@@ -288,12 +290,11 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
         if not condition(keys[i], keys[j]):
             continue
         pa, pb = elements[i], elements[j]
-        m1, m2 = pa.num_blocks, pb.num_blocks
         entries.append(
             ReportEntry(
                 source_partitions=(pa, pb),
-                nontrivial=m1 < a.n and m2 < a.n,
-                perfect=m1 * m2 == a.n,
+                nontrivial=True,
+                perfect=pa.num_blocks * pb.num_blocks == a.n,
                 redundant=is_redundant(a, _Pair(kind, (pa, pb)), lattice=lattice),
                 _build=build,
             )

@@ -8,9 +8,10 @@ and cuts a branch as soon as the joint run through the entries set so far
 shows a conflict.  ``ai`` and ``wai`` search the minimal automaton, ``wai``
 as ``si``; ``ai`` computes the first automaton's accepting set instead of
 enumerating it; size and first-factor bounds skip what cannot hold the first
-pair, while the first automaton is still a flat table, which becomes a ``Dfa``
-only once it is kept; and all candidates, every initial state included, are
-walked only to name a pair that the canonical candidates have shown to exist.
+pair, while the first automaton is still a flat table; a kept one is searched
+from its rows and pair index, and becomes a ``Dfa`` only in the pair that is
+verified; and all candidates, every initial state included, are walked only
+to name a pair that the canonical candidates have shown to exist.
 """
 
 from __future__ import annotations
@@ -221,7 +222,9 @@ def candidate_automata(
 
 
 class _PairSearch:
-    """The second automata that pair with ``a1`` without conflict.
+    """The second automata that pair with one kept first automaton a1, given
+    as its table ``rows``, its ``initial`` state and, under ai, its forced
+    accepting set F1*; ``least_l`` is the least second size it may pair with.
 
     ``first`` walks an l-state table of a2 an entry at a time, in
     ``_table_walk`` order, and follows the triples (a, a1, a2) reachable
@@ -237,8 +240,8 @@ class _PairSearch:
 
     Each level of the walk keeps its own state, one list of bit sets:
     ``reached[k]`` holds the pairs (i, j) reached with a2 state k.  A pair's
-    bit is its position in ``order``, the (a, a1) pairs reachable by a
-    common word in breadth-first visit order, since no run meets any other
+    bit is ``index[pair]``, its position among the (a, a1) pairs reachable by
+    a common word in breadth-first visit order, since no run meets any other
     pair; the initial pair is bit 0.  Every conflict is two pairs at one k,
     so each pair's conflicts are one mask, ``clash[b]``: under ``si`` the
     pairs of its j with another i, under ``ai`` (for an accepting j) the
@@ -246,32 +249,32 @@ class _PairSearch:
     the first walk, so a first automaton that every l skips never pays for them.
     """
 
-    def __init__(self, ai: bool, a: Dfa, a1: Dfa, order: list[tuple[int, int]]):
-        self.ai, self.a, self.a1, self.order = ai, a, a1, order
+    def __init__(self, ai: bool, a: Dfa, rows, initial: int, accepting, least_l: int, index):
+        self.ai, self.a, self.rows, self.initial = ai, a, rows, initial
+        self.accepting, self.least_l, self.index = accepting, least_l, index
         self.nodes = 0
 
     @functools.cached_property
     def _tables(self) -> tuple[list[list[int]], list[int], int]:
         """``step[u][b]``, the pair that pair b moves to by symbol u;
         ``clash``; and the pairs of an accepting i and j, under ai."""
-        a, a1, pairs = self.a, self.a1, self.order
-        index = {pair: b for b, pair in enumerate(pairs)}
+        a, rows, index, accepting = self.a, self.rows, self.index, self.accepting
         step = [
-            [index[a.table[i][u], a1.table[j][u]] for i, j in pairs]
+            [index[a.table[i][u], rows[j][u]] for i, j in index]
             for u in range(len(a.alphabet))
         ]
         if self.ai:
             # the pairs with an accepting j, by whether i is accepting
             by_final = [0, 0]
-            for b, (i, j) in enumerate(pairs):
-                if j in a1.accepting:
+            for (i, j), b in index.items():
+                if j in accepting:
                     by_final[i in a.accepting] |= 1 << b
-            clash = [by_final[i not in a.accepting] if j in a1.accepting else 0 for i, j in pairs]
+            clash = [by_final[i not in a.accepting] if j in accepting else 0 for i, j in index]
             return step, clash, by_final[1]
-        column = [0] * a1.n
-        for b, (_, j) in enumerate(pairs):
+        column = [0] * len(rows)
+        for (_, j), b in index.items():
             column[j] |= 1 << b
-        return step, [column[j] & ~(1 << b) for b, (_, j) in enumerate(pairs)], 0
+        return step, [column[j] & ~(1 << b) for (_, j), b in index.items()], 0
 
     def first(self, l: int, root: int, canonical_only: bool):
         """``(rows, root, accepting)`` for the first l-state table whose run
@@ -328,19 +331,19 @@ class _PairSearch:
 
 def _first_factors(
     ai: bool, m: Dfa, alphabet: tuple[str, ...], k: int, max_l: int, canonical_only: bool
-) -> Iterator[tuple[int, Dfa, list[tuple[int, int]]]]:
-    """``(least l, a1, pair order)`` for each k-state first automaton, in
-    ``candidate_automata`` order, that neither the fan nor the minimal first
-    factor skips at every l up to ``max_l``.
+) -> Iterator[_PairSearch]:
+    """The ``_PairSearch`` of each k-state first automaton, in the order of
+    ``candidate_automata``, that neither the fan nor the minimal first factor
+    skips at every l up to ``max_l``.
 
     A first automaton stays the flat table that ``_table_walk`` yields, and
-    becomes a ``Dfa`` only once it is kept.  One breadth-first search over
-    M's table and the table's rows gives the pair order: the (M, a1) pairs
-    reachable by a common word, in visit order.  The fan (si, wai) is the
-    most pairs at one a1 state; the search stops at the first a1 state it
-    visits for the (max_l + 1)-th time.  Under ai the pairs give F1*, and a1
-    with F1* is minimal iff its reachable states, those of the pairs, carry
-    k distinct ``_hopcroft`` labels: unreachable states cannot change which
+    is kept as its rows.  One breadth-first search over M's table and the
+    rows gives the search's pair index: the (M, a1) pairs reachable by a
+    common word, numbered in visit order.  The fan (si, wai) is the most
+    pairs at one a1 state; the search stops at the first a1 state it visits
+    for the (max_l + 1)-th time.  Under ai the pairs give F1*, and a1 with
+    F1* is minimal iff its reachable states, those of the pairs, carry k
+    distinct ``_hopcroft`` labels: unreachable states cannot change which
     reachable states are equivalent, so this is ``minimize``'s answer with
     or without them.
     """
@@ -349,15 +352,15 @@ def _first_factors(
         rows = _rows(flat, k, s)
         for initial in (0,) if canonical_only else range(k):
             order = [(m.initial, initial)]
-            seen = set(order)
+            index = {order[0]: 0}
             fan = [0] * k  # the pairs visited so far at each a1 state
             for i, j in order:  # ``order`` grows while this loop runs
                 fan[j] += 1
                 if fan[j] > max_l and not ai:
                     break  # the fan skips a1 at every l up to max_l
                 for pair in zip(m.table[i], rows[j]):
-                    if pair not in seen:
-                        seen.add(pair)
+                    if pair not in index:
+                        index[pair] = len(order)
                         order.append(pair)
             else:
                 accepting = ()
@@ -367,7 +370,7 @@ def _first_factors(
                     if len({labels[j] for _, j in order}) < k:
                         continue  # a1 with F1* is not minimal
                 least_l = 1 if ai else max(fan)
-                yield least_l, _candidate(alphabet, rows, initial, accepting), order
+                yield _PairSearch(ai, m, rows, initial, accepting, least_l, index)
 
 
 def _first_pair(
@@ -377,41 +380,42 @@ def _first_pair(
     ``sizes``, a list of (k, l) in lexicographic order, or None if there is
     none; and the entries set over the sizes searched through.
 
-    The first automaton is enumerated whole, and stays a table until
-    ``_first_factors`` keeps it.  The second one's table is set an entry at
-    a time, in the same order, while ``_PairSearch`` follows the triples
-    reachable through the entries set so far, and a branch is cut at the
-    kind's first conflict.  This finds exactly the enumerator's first pair:
-    the triples reachable through a prefix are reachable in every
-    completion of it, so a conflict of the prefix is a conflict of all of
-    them, and the leaves are reached in table order.  At a complete table
-    the triples are the pair's reachable ones, so a run without conflict
-    verifies.  One search per initial state of the second automaton (state
-    0 under ``canonical_only``) stops at its first table, and the least
-    (table, initial state) is the enumerator's first pair.  The fan and the
-    minimal first factor of ``certify_undecomposable`` skip first automata.
+    The first automaton is enumerated whole, and ``_first_factors`` keeps it
+    as the rows and pair index of its ``_PairSearch``.  The second one's
+    table is set an entry at a time, in the same order, while the search
+    follows the triples reachable through the entries set so far, and a
+    branch is cut at the kind's first conflict.  This finds exactly the
+    enumerator's first pair: the triples reachable through a prefix are
+    reachable in every completion of it, so a conflict of the prefix is a
+    conflict of all of them, and the leaves are reached in table order.  At
+    a complete table the triples are the pair's reachable ones, so a run
+    without conflict verifies.  One search per initial state of the second
+    automaton (state 0 under ``canonical_only``) stops at its first table,
+    and the least (table, initial state) is the enumerator's first pair;
+    only that pair's two automata are built as ``Dfa``s, to be verified.
+    The fan and the minimal first factor of ``certify_undecomposable`` skip
+    first automata.
     """
     ai = kind is DecompositionKind.AI
     nodes = 0
     for k, at_k in itertools.groupby(sizes, key=lambda size: size[0]):
         ls = [l for _, l in at_k]
-        kept = _first_factors(ai, m, dfa.alphabet, k, ls[-1], canonical_only)
-        # (the least l a1 may pair with, the search of a1)
-        firsts = [(least_l, _PairSearch(ai, m, a1, order)) for least_l, a1, order in kept]
+        firsts = list(_first_factors(ai, m, dfa.alphabet, k, ls[-1], canonical_only))
         for l in ls:
-            for least_l, search in firsts:
-                if l < least_l:
+            for search in firsts:
+                if l < search.least_l:
                     continue
                 roots = range(1 if canonical_only else l)
                 finds = [f for f in (search.first(l, root, canonical_only) for root in roots) if f]
                 if finds:
                     table, initial, accepting = min(finds)
+                    a1 = _candidate(dfa.alphabet, search.rows, search.initial, search.accepting)
                     a2 = _candidate(dfa.alphabet, table, initial, accepting)
-                    result = verify(kind, dfa, search.a1, a2)
+                    result = verify(kind, dfa, a1, a2)
                     if not result:
                         raise RuntimeError(f"search found a pair that verify refuses: {result}")
                     return result, nodes
-        nodes += sum(search.nodes for _, search in firsts)
+        nodes += sum(search.nodes for search in firsts)
     return None, nodes
 
 

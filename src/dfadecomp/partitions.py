@@ -14,9 +14,10 @@ partition, which Hopcroft's algorithm finds in O(|Σ|·n log n).
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Hashable, Iterable
 
 from .automata import Dfa, StateMap, _distinct_names, trim
 from .errors import InputError
@@ -185,19 +186,12 @@ def leq(p1: Partition, p2: Partition) -> bool:
 
 def is_sp(dfa: Dfa, pi: Partition) -> bool:
     """Substitution property: states sharing a block have co-block successors
-    under every symbol."""
-    if pi.n != dfa.n:
+    under every symbol, that is each state's successors share blocks with
+    its leader's."""
+    x, rows = pi.leaders, dfa.table
+    if len(x) != dfa.n:
         raise InputError("partition does not cover the automaton's state set")
-    for block in pi.blocks:
-        if len(block) == 1:
-            continue
-        lead = block[0]
-        for a in range(len(dfa.alphabet)):
-            target = pi.block_index[dfa.table[lead][a]]
-            for i in block[1:]:
-                if pi.block_index[dfa.table[i][a]] != target:
-                    return False
-    return True
+    return all(x[p] == x[q] for i, y in enumerate(x) if i != y for p, q in zip(rows[i], rows[y]))
 
 
 def min_sp_merging(dfa: Dfa, p: str, t: str) -> Partition:
@@ -280,7 +274,7 @@ class SpLattice:
     """Every substitution-property partition of one DFA, with its irreducibles.
 
     ``elements`` run from the finest partition to the coarsest, and ``index``
-    maps each element to its position there.
+    maps each element to its position there, built when first read.
     ``irreducibles`` are the join-irreducible elements, in the same order:
     the atoms, the finest S.P. partitions merging one state pair
     (``min_sp_merging``), that are not the join of the atoms strictly below
@@ -298,10 +292,10 @@ class SpLattice:
     irreducibles: tuple[Partition, ...]
     above: tuple[tuple[int, ...], ...]
     keys: tuple[int, ...]
-    index: Mapping[Partition, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", {pi: i for i, pi in enumerate(self.elements)})
+    @functools.cached_property
+    def index(self) -> dict[Partition, int]:
+        return {pi: i for i, pi in enumerate(self.elements)}
 
     def __contains__(self, pi: Partition) -> bool:
         return pi in self.index

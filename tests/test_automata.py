@@ -110,8 +110,6 @@ class TestDfaConstruction:
         assert type(exc.value) is InputError
         assert str(exc.value) == message
 
-    # Dfa.build's duplicate-transition raise is left out: ``delta`` is a
-    # mapping, so a plain dict cannot carry one (state, symbol) key twice.
     @pytest.mark.parametrize(
         "states, alphabet, delta, initial, accepting, message",
         [

@@ -47,7 +47,7 @@ from dfadecomp import (
 )
 from dfadecomp.automata import _pair_states, _triple_bfs, reachable_indexes
 from dfadecomp.decompositions import _emission_condition, _entry_from_partitions
-from dfadecomp.oracle import _first_factors, candidate_automata
+from dfadecomp.oracle import _candidate, _first_factors, candidate_automata
 from dfadecomp.partitions import _hopcroft, _pair_components, quotient
 
 import helpers
@@ -552,7 +552,11 @@ def test_first_factors_match_their_earlier_route(canonical_only):
                 if len(route) < every:
                     skipped.add("non-minimal first factor")
                 for max_l in (1, 2, 3, a.n):
-                    new = list(_first_factors(ai, m, alphabet, k, max_l, canonical_only))
+                    new = []
+                    for f in _first_factors(ai, m, alphabet, k, max_l, canonical_only):
+                        assert list(f.index.values()) == list(range(len(f.index)))
+                        a1 = _candidate(alphabet, f.rows, f.initial, f.accepting)
+                        new.append((f.least_l, a1, list(f.index)))
                     assert new == [f for f in route if f[0] <= max_l], (seed, kind, k, max_l)
                     if len(new) < len(route):
                         skipped.add("fan")

@@ -256,6 +256,31 @@ class TestCertify:
         assert isinstance(cert, ExhaustionCertificate)
         assert cert.nodes_visited == nodes
 
+    @pytest.mark.parametrize(
+        "kind, dfa, budget, found, dfas",
+        [
+            ("wai", gen_ln(5), SearchBudget(4, 4), False, 0),
+            ("wai", gen_ln(6), SearchBudget(5, 5), False, 0),
+            ("ai", gen_example31()[0], SearchBudget(3, 3), True, 2),
+            # the canonical find, then the walk of all candidates at its sizes
+            ("ai", gen_lkl(2, 3), SearchBudget(2, 3, canonical_only=False), True, 4),
+        ],
+        ids=["ln5-wai", "ln6-wai", "example31-ai", "lkl23-ai-all"],
+    )
+    def test_only_the_verified_pair_becomes_a_dfa(self, monkeypatch, kind, dfa, budget, found, dfas):
+        """A kept first factor is searched from its rows; the two candidates
+        built as ``Dfa``s are the pair each search verifies."""
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _candidate(*args)
+
+        monkeypatch.setattr(oracle, "_candidate", counted)
+        result = certify_undecomposable(kind, dfa, budget)
+        assert isinstance(result, Decomposition) is found
+        assert len(calls) == dfas
+
 
 def _outcome(result):
     """What a search answered: the found pair with its witness, or the
@@ -374,7 +399,7 @@ def test_every_skipped_first_factor_pairs_with_no_second(canonical_only, monkeyp
 
     class Recorded(_PairSearch):
         def first(self, l, root, canonical_only):
-            searched.add((self.a1.table, self.a1.initial, l, canonical_only))
+            searched.add((self.rows, self.initial, l, canonical_only))
             return super().first(l, root, canonical_only)
 
     monkeypatch.setattr(oracle, "_PairSearch", Recorded)
@@ -470,4 +495,6 @@ def test_first_table_is_the_first_that_verifies(case):
                 break
         if expected:
             break
-    assert _PairSearch(ai, a, a1, order).first(l, root, canonical) == expected
+    index = {pair: b for b, pair in enumerate(order)}
+    search = _PairSearch(ai, a, a1.table, a1.initial, a1.accepting, 1, index)
+    assert search.first(l, root, canonical) == expected

@@ -359,6 +359,33 @@ class TestMeetClosureSelfCheck:
         assert len(lattice.elements) == 13
         assert {Partition([[0, 1, 2], [3]]), Partition([[0, 1, 3], [2]])} <= set(lattice.elements)
 
+    @staticmethod
+    def missing_meets(lattice) -> set[frozenset[Partition]]:
+        """The pairs of elements whose meet is not an element, by ``meet``."""
+        return {
+            frozenset((x, y))
+            for x, y in itertools.combinations(lattice.elements, 2)
+            if meet(x, y) not in lattice
+        }
+
+    def test_every_meet_is_an_element_outside_the_self_check(self):
+        """Closure under meet, checked outside ``sp_lattice`` on lattices
+        built without its self-check: seeded random trimmed automata of 1-7
+        states over 1-3 symbols, the identity automata of 4-6 states,
+        grid(3,5) and lkl(4,6)."""
+        automata = [helpers.identity(n) for n in (4, 5, 6)] + [gen_grid(3, 5), gen_lkl(4, 6)]
+        for seed in range(60):
+            rng = random.Random(seed)
+            alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+            automata.append(random_dfa(rng, rng.randint(1, 7), alphabet, trim_unreachable=True))
+        for a in automata:
+            assert self.missing_meets(sp_lattice(a, check_meet_closure=False)) == set(), a.name
+
+    def test_the_outside_check_reports_the_missing_meet(self, join_skipping_01):
+        lattice = sp_lattice(self.IDENTITY4, check_meet_closure=False)
+        pair = frozenset((Partition([[0, 1, 2], [3]]), Partition([[0, 1, 3], [2]])))
+        assert self.missing_meets(lattice) == {pair}
+
 
 class TestRaises:
     def test_repr_lists_the_blocks(self):
