@@ -8,10 +8,11 @@ and cuts a branch as soon as the joint run through the entries set so far
 shows a conflict.  ``ai`` and ``wai`` search the minimal automaton, ``wai``
 as ``si``; ``ai`` computes the first automaton's accepting set instead of
 enumerating it; size and first-factor bounds skip what cannot hold the first
-pair, while the first automaton is still a flat table; a kept one is searched
-from its rows and pair index, and becomes a ``Dfa`` only in the pair that is
-verified; and all candidates, every initial state included, are walked only
-to name a pair that the canonical candidates have shown to exist.
+pair, the fan already at the prefix of the first automaton's table where it
+fails; a kept one is searched from its rows and pair index, and becomes a
+``Dfa`` only in the pair that is verified; and all candidates, every initial
+state included, are walked only to name a pair that the canonical candidates
+have shown to exist.
 """
 
 from __future__ import annotations
@@ -331,46 +332,102 @@ class _PairSearch:
 
 def _first_factors(
     ai: bool, m: Dfa, alphabet: tuple[str, ...], k: int, max_l: int, canonical_only: bool
-) -> Iterator[_PairSearch]:
+) -> list[_PairSearch]:
     """The ``_PairSearch`` of each k-state first automaton, in the order of
-    ``candidate_automata``, that neither the fan nor the minimal first factor
-    skips at every l up to ``max_l``.
+    ``candidate_automata``, that neither the fan nor, under ai, the minimal
+    first factor skips at every l up to ``max_l``.
 
-    A first automaton stays the flat table that ``_table_walk`` yields, and
-    is kept as its rows.  One breadth-first search over M's table and the
-    rows gives the search's pair index: the (M, a1) pairs reachable by a
-    common word, numbered in visit order.  The fan (si, wai) is the most
-    pairs at one a1 state; the search stops at the first a1 state it visits
-    for the (max_l + 1)-th time.  Under ai the pairs give F1*, and a1 with
-    F1* is minimal iff its reachable states, those of the pairs, carry k
-    distinct ``_hopcroft`` labels: unreachable states cannot change which
-    reachable states are equivalent, so this is ``minimize``'s answer with
-    or without them.
+    The first automaton's table is set an entry at a time over ``_choices``,
+    as ``_PairSearch.first`` sets the second one's, once per initial state.
+    ``reach[j]`` is the bit set of the states of M that words take to a1
+    state j through the entries set so far.  Setting entry (j, u) to v
+    moves the states at j by u into v, and the states new at v move on
+    through the entries already set.  Setting an entry only adds states, so
+    once an a1 state meets more than ``max_l`` states of M, its fan exceeds
+    ``max_l`` in every completion of the prefix, and the walk cuts the
+    subtree there.  A complete table is kept as its rows; its fan, the
+    most states at one a1 state, is the least l it pairs with.  One
+    breadth-first search over M's table and the rows gives the search's
+    pair index: the (M, a1) pairs reachable by a common word, numbered in
+    visit order.  Under ai the reached sets give F1*, and a1 with F1* is
+    minimal iff its reachable states carry k distinct ``_hopcroft`` labels:
+    unreachable states cannot change which reachable states are
+    equivalent, so this is ``minimize``'s answer with or without them.
     """
     s = len(alphabet)
-    for flat in _table_walk(k, s, canonical_only):
+    flat = [0] * (k * s)
+    into = [[1 << row[u] for row in m.table] for u in range(s)]
+    final = sum(1 << i for i in m.accepting)
+    kept: list[_PairSearch] = []
+
+    def move(states: int, u: int) -> int:
+        """The states of M that ``states`` move to by symbol u."""
+        moved, step = 0, into[u]
+        while states:
+            low = states & -states
+            moved |= step[low.bit_length() - 1]
+            states ^= low
+        return moved
+
+    def close(reach: list[int], j: int, states: int, p: int) -> bool:
+        """Add ``states`` at a1 state j to ``reach``, and all they reach by
+        entries <= p; False once an a1 state meets more than max_l."""
+        work = [(j, states)]
+        while work:
+            j, states = work.pop()
+            here = reach[j]
+            states &= ~here
+            if states:
+                here |= states
+                if here.bit_count() > max_l:
+                    return False
+                reach[j] = here
+                base = j * s
+                for u in range(min(s, p - base + 1)):
+                    work.append((flat[base + u], move(states, u)))
+        return True
+
+    def keep(reach: list[int], initial: int) -> None:
         rows = _rows(flat, k, s)
-        for initial in (0,) if canonical_only else range(k):
-            order = [(m.initial, initial)]
-            index = {order[0]: 0}
-            fan = [0] * k  # the pairs visited so far at each a1 state
-            for i, j in order:  # ``order`` grows while this loop runs
-                fan[j] += 1
-                if fan[j] > max_l and not ai:
-                    break  # the fan skips a1 at every l up to max_l
-                for pair in zip(m.table[i], rows[j]):
-                    if pair not in index:
-                        index[pair] = len(order)
-                        order.append(pair)
-            else:
-                accepting = ()
-                if ai:
-                    accepting = {j for i, j in order if i in m.accepting}  # F1*
-                    labels = _hopcroft(rows, accepting)
-                    if len({labels[j] for _, j in order}) < k:
-                        continue  # a1 with F1* is not minimal
-                least_l = 1 if ai else max(fan)
-                yield _PairSearch(ai, m, rows, initial, accepting, least_l, index)
+        accepting = ()
+        if ai:
+            accepting = {j for j, here in enumerate(reach) if here & final}  # F1*
+            labels = _hopcroft(rows, accepting)
+            if len({labels[j] for j, here in enumerate(reach) if here}) < k:
+                return  # a1 with F1* is not minimal
+        order = [(m.initial, initial)]
+        index = {order[0]: 0}
+        for i, j in order:  # ``order`` grows while this loop runs
+            for pair in zip(m.table[i], rows[j]):
+                if pair not in index:
+                    index[pair] = len(order)
+                    order.append(pair)
+        fan = max(here.bit_count() for here in reach)
+        kept.append(_PairSearch(ai, m, rows, initial, accepting, fan, index))
+
+    def extend(p: int, seen: int, reach: list[int], initial: int) -> None:
+        if p == len(flat):
+            keep(reach, initial)
+            return
+        j, u = divmod(p, s)
+        moved = move(reach[j], u)
+        for v in _choices(k, s, canonical_only, p, seen):
+            flat[p] = v
+            child = reach
+            if moved:
+                child = reach[:]
+                if not close(child, v, moved, p):
+                    continue
+            extend(p + 1, max(seen, v + 1), child, initial)
+
+    if _table_count(k, s, canonical_only):
+        for initial in range(1 if canonical_only else k):
+            start = [0] * k
+            start[initial] = 1 << m.initial
+            extend(0, 1, start, initial)
+    # tables in walk order, which is the rows' order, then initial states
+    kept.sort(key=lambda search: (search.rows, search.initial))
+    return kept
 
 
 def _first_pair(
@@ -380,11 +437,12 @@ def _first_pair(
     ``sizes``, a list of (k, l) in lexicographic order, or None if there is
     none; and the entries set over the sizes searched through.
 
-    The first automaton is enumerated whole, and ``_first_factors`` keeps it
-    as the rows and pair index of its ``_PairSearch``.  The second one's
-    table is set an entry at a time, in the same order, while the search
-    follows the triples reachable through the entries set so far, and a
-    branch is cut at the kind's first conflict.  This finds exactly the
+    ``_first_factors`` sets the first automaton's table an entry at a time,
+    cuts it where the fan fails, and keeps a complete one as the rows and
+    pair index of its ``_PairSearch``.  The second one's table is set an
+    entry at a time, in the same order, while the search follows the
+    triples reachable through the entries set so far, and a branch is cut
+    at the kind's first conflict.  This finds exactly the
     enumerator's first pair: the triples reachable through a prefix are
     reachable in every completion of it, so a conflict of the prefix is a
     conflict of all of them, and the leaves are reached in table order.  At
@@ -400,7 +458,7 @@ def _first_pair(
     nodes = 0
     for k, at_k in itertools.groupby(sizes, key=lambda size: size[0]):
         ls = [l for _, l in at_k]
-        firsts = list(_first_factors(ai, m, dfa.alphabet, k, ls[-1], canonical_only))
+        firsts = _first_factors(ai, m, dfa.alphabet, k, ls[-1], canonical_only)
         for l in ls:
             for search in firsts:
                 if l < search.least_l:
@@ -467,10 +525,15 @@ def certify_undecomposable(
       and of M under wai, and under ai their product automaton recognizes
       L(A), so it has at least as many states as M.  So k * l is at least n
       (si) or the states of M (wai, ai).
-    - Fan (si, wai): if the words that take a1 to state j take A (M under
-      wai) to f states, each of those needs an a2 state of its own, since a
-      pair (j, k) reaches one state.  An a1 is skipped at every l below its
-      largest f.
+    - Fan (ai, si, wai): if the words that take a1 to state j take A (M
+      under wai and ai) to f states, each of those needs an a2 state of its
+      own.  Under si and wai a pair (j, k) reaches one state.  Under ai two
+      words that reach one pair (j, k) reach one state of the product, which
+      recognizes L(M), so no suffix tells them apart and, by Myhill-Nerode,
+      they reach one state of M: ai implies wai, which is si on M.  An a1
+      is skipped at every l below its largest f.  Setting an entry of a1's
+      table only adds reachable pairs, so a prefix of the table whose fan
+      already exceeds the largest l skips every completion of it.
     - Minimal first factor (ai): if (a1 with F1*) minimizes to k' < k states,
       the minimal automaton, numbered as a candidate of size k', accepts the
       same language, so it is valid with every a2 that a1 is valid with, at

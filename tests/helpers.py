@@ -385,8 +385,9 @@ def first_factors_by_route(
     ai: bool, m: Dfa, alphabet: tuple[str, ...], k: int, max_l: int, canonical_only: bool
 ):
     """``oracle._first_factors`` as its earlier route: a ``Dfa`` per
-    candidate, ``_triple_bfs(m, a1, a1)``, the fan from a ``Counter`` and,
-    under ai, ``minimize`` of a1 with its forced accepting set F1*."""
+    candidate, ``_triple_bfs(m, a1, a1)``, the fan from a ``Counter``, the
+    least l under every kind, and, under ai, ``minimize`` of a1 with its
+    forced accepting set F1*."""
     kept = []
     for a1 in candidate_automata(k, alphabet, canonical_only):
         order, _ = _triple_bfs(m, a1, a1)
@@ -395,9 +396,7 @@ def first_factors_by_route(
             a1 = _candidate(alphabet, a1.table, a1.initial, forced)
             if minimize(a1)[0].n < k:
                 continue
-            least_l = 1
-        else:
-            least_l = max(Counter(j for _, j, _ in order).values())
+        least_l = max(Counter(j for _, j, _ in order).values())
         if least_l <= max_l:
             kept.append((least_l, a1, [(i, j) for i, j, _ in order]))
     return kept

@@ -40,7 +40,7 @@ from dfadecomp import (
 from dfadecomp.cli import main
 from dfadecomp.textio import format_partition
 
-TOTAL = "94a09d0ba88e973413ab771cabd9cf237e2e9c25fc85041dc33c4b67f7920f76"
+TOTAL = "7a19b1a61b43a7aaa6f190174d90a943461cf2c36bde238c64ea9ab2a1d38cce"
 
 
 def _inputs():
@@ -65,8 +65,19 @@ def _inputs():
     return fixed + randoms
 
 
+def _oracle_runs(doc: str, max1: int, max2: int):
+    """The oracle runs of one automaton at caps (max1, max2): every kind,
+    with and without ``--all-candidates``."""
+    for kind in ("ai", "si", "wai"):
+        for mode in ([], ["--all-candidates"]):
+            argv = ["oracle", "--kind", kind, "--max1", str(max1), "--max2", str(max2), *mode]
+            yield "oracle", argv, doc
+
+
 def _runs(folder: Path):
-    """(subcommand, argv, stdin text) of every run."""
+    """(subcommand, argv, stdin text) of every run.  The ln, example31 and
+    a4b4 fixtures are also searched at (3, 3), where the fan skips first
+    factors under every kind."""
     for a in _inputs():
         doc = print_dfa(a)
         yield "minimize", ["minimize"], doc
@@ -75,12 +86,12 @@ def _runs(folder: Path):
             for fmt in ("text", "json"):
                 for mode in ([], ["--nonredundant"], ["--perfect-only"]):
                     yield "decompose", ["decompose", "--kind", kind, "--format", fmt, *mode], doc
-        for kind in ("ai", "si", "wai"):
-            for mode in ([], ["--all-candidates"]):
-                yield "oracle", ["oracle", "--kind", kind, "--max1", "2", "--max2", "3", *mode], doc
+        yield from _oracle_runs(doc, 2, 3)
         split = Partition.from_assignment(i in a.accepting for i in range(a.n))
         yield "dot", ["dot"], doc
         yield "dot", ["dot", "--partition", format_partition(split, a)], doc
+    for a in (*(gen_ln(n) for n in (1, 2, 4, 6)), *gen_example31(), *gen_a4b4_triple()):
+        yield from _oracle_runs(print_dfa(a), 3, 3)
     # The 6-state example's quotients by its fixture partition pair, each
     # accepting the blocks of the separation witness, against both examples.
     example31_min, prime = gen_example31()
