@@ -2,14 +2,15 @@
 
 Partitions are enumerated one by one, so ``brute_sp_partitions`` can
 cross-check the constructive lattice.  The candidate pair search certifies
-that no small decomposition exists: it enumerates the first automaton of a
-pair whole, fills in the second one's transition table an entry at a time,
-and cuts a branch as soon as the joint run through the entries set so far
-shows a conflict.  ``ai`` and ``wai`` search the minimal automaton, ``wai``
-as ``si``; ``ai`` computes the first automaton's accepting set instead of
-enumerating it; size and first-factor bounds skip what cannot hold the first
-pair, the fan already at the prefix of the first automaton's table where it
-fails; a kept one is searched from its rows and pair index, and becomes a
+that no small decomposition exists.  One walker sets each factor's
+transition table an entry at a time, follows the states (first factor) or
+state pairs (second factor) reached through the entries set so far, and cuts
+a table prefix as soon as they break its rule: the fan bound for the first
+automaton, the kind's conflicts for the second.  ``ai`` and ``wai`` search
+the minimal automaton, ``wai`` as ``si``; ``ai`` computes the first
+automaton's accepting set instead of enumerating it; size and first-factor
+bounds skip what cannot hold the first pair; a kept first automaton is
+searched from its rows and the states its walk reached, and becomes a
 ``Dfa`` only in the pair that is verified; and all candidates, every initial
 state included, are walked only to name a pair that the canonical candidates
 have shown to exist.
@@ -222,48 +223,109 @@ def candidate_automata(
             yield _candidate(alphabet, table, initial, ())
 
 
+def _walk(k: int, s: int, canonical_only: bool, step, clash, max_fan: int, start, leaf) -> int:
+    """Set a flat k-state table over s symbols an entry at a time, in
+    ``_table_walk`` order, and return the number of entries set.
+
+    ``reach[j]``, from ``start``, is the bit set at table state j through
+    the entries set so far.  Setting entry (j, u) to v moves each bit b at j
+    to ``step[u][b]`` at v, and bits new at a state move on through the
+    entries already set.  A prefix is cut, with every table below it, once
+    one state holds a bit b with one of ``clash[b]`` (never b itself) or
+    more than ``max_fan`` bits: both rules read a state's bits only, and
+    setting an entry only adds bits, so the cut holds in every completion
+    and does not depend on the order in which bits are added.  At a
+    complete table ``leaf(flat, reach)`` is called; the walk stops when it
+    returns True.  ``flat`` is reused; copy it to keep it.
+    """
+    flat = [0] * (k * s)
+    entries = 0
+
+    def extend(p: int, seen: int, reach: list[int]) -> bool:
+        nonlocal entries
+        if p == len(flat):
+            return leaf(flat, reach)
+        moved = []  # the bits that those at entry p's state move to by its symbol
+        x, by = reach[p // s], step[p % s]
+        while x:
+            low = x & -x
+            moved.append(by[low.bit_length() - 1])
+            x ^= low
+        for v in _choices(k, s, canonical_only, p, seen):
+            entries += 1
+            flat[p] = v
+            child = reach[:] if moved else reach
+            work = [(b, v) for b in moved]
+            while work:  # close the new bits through the entries <= p
+                b, j = work.pop()
+                here = child[j]
+                if here >> b & 1:
+                    continue
+                here |= 1 << b
+                if here & clash[b] or here.bit_count() > max_fan:
+                    break
+                child[j] = here
+                base = j * s
+                for u in range(min(s, p - base + 1)):
+                    work.append((step[u][b], flat[base + u]))
+            else:
+                if extend(p + 1, max(seen, v + 1), child):
+                    return True
+        return False
+
+    if _table_count(k, s, canonical_only):
+        extend(0, 1, start)
+    return entries
+
+
 class _PairSearch:
     """The second automata that pair with one kept first automaton a1, given
-    as its table ``rows``, its ``initial`` state and, under ai, its forced
-    accepting set F1*; ``least_l`` is the least second size it may pair with.
+    as its table ``rows``, its ``initial`` state, under ai its forced
+    accepting set F1*, and ``reach``, the bit set of the states of ``a``
+    that words take to each a1 state; ``least_l`` is the least second size
+    it may pair with.
 
-    ``first`` walks an l-state table of a2 an entry at a time, in
-    ``_table_walk`` order, and follows the triples (a, a1, a2) reachable
-    through the entries set so far.  ``a`` is A under ``si`` and the minimal
-    automaton under ``ai`` and ``wai`` (which is ``si`` there).  The run
-    fails at its first conflict: under ``si`` one pair (j, k) reaches two
-    states of ``a``; under ``ai`` one k, paired with accepting j's, meets
-    accepting and rejecting states of ``a``.  Under ``ai`` a1 accepts the
-    forced set, which holds every j paired with an accepting state of ``a``,
-    so no run fails before the first entry.  Setting an entry only adds
-    triples, so a failed run stays failed below it, and the walk cuts the
-    subtree there.  ``nodes`` counts the entries set, over every walk.
-
-    Each level of the walk keeps its own state, one list of bit sets:
-    ``reached[k]`` holds the pairs (i, j) reached with a2 state k.  A pair's
-    bit is ``index[pair]``, its position among the (a, a1) pairs reachable by
-    a common word in breadth-first visit order, since no run meets any other
-    pair; the initial pair is bit 0.  Every conflict is two pairs at one k,
-    so each pair's conflicts are one mask, ``clash[b]``: under ``si`` the
-    pairs of its j with another i, under ``ai`` (for an accepting j) the
-    pairs of accepting j's whose i differs on acceptance.  The tables are built at
-    the first walk, so a first automaton that every l skips never pays for them.
+    ``first`` walks an l-state table of a2 with ``_walk``, whose bits are the
+    (a, a1) pairs reachable by a common word, since no run meets any other
+    pair: {(i, j) : i in reach[j]}, numbered in (j, i) order.  ``a`` is A
+    under ``si`` and the minimal automaton under ``ai`` and ``wai`` (which is
+    ``si`` there).  The walk's bit set at a2 state k holds the pairs reached
+    with k through the entries set so far, and the run fails at its first
+    conflict: under ``si`` one pair (j, k) reaches two states of ``a``;
+    under ``ai`` one k, paired with accepting j's, meets accepting and
+    rejecting states of ``a``.  Under ``ai`` a1 accepts the forced set,
+    which holds every j paired with an accepting state of ``a``, so no run
+    fails before the first entry.  Every conflict is two pairs at one k, so
+    each pair's conflicts are one mask, ``clash[b]``: under ``si`` the pairs
+    of its j with another i, under ``ai`` (for an accepting j) the pairs of
+    accepting j's whose i differs on acceptance.  The fan cap is the pair
+    count, so it never fires.  ``nodes`` counts the entries set, over every
+    walk.  The tables are built at the first walk, so a first automaton that
+    every l skips never pays for them.
     """
 
-    def __init__(self, ai: bool, a: Dfa, rows, initial: int, accepting, least_l: int, index):
+    def __init__(self, ai: bool, a: Dfa, rows, initial: int, accepting, least_l: int, reach):
         self.ai, self.a, self.rows, self.initial = ai, a, rows, initial
-        self.accepting, self.least_l, self.index = accepting, least_l, index
+        self.accepting, self.least_l, self.reach = accepting, least_l, reach
         self.nodes = 0
 
     @functools.cached_property
-    def _tables(self) -> tuple[list[list[int]], list[int], int]:
+    def _tables(self) -> tuple[list[list[int]], list[int], int, int]:
         """``step[u][b]``, the pair that pair b moves to by symbol u;
-        ``clash``; and the pairs of an accepting i and j, under ai."""
-        a, rows, index, accepting = self.a, self.rows, self.index, self.accepting
+        ``clash``; the pairs of an accepting i and j, under ai; and the
+        initial pair's bit."""
+        a, rows, accepting = self.a, self.rows, self.accepting
+        index = {}  # each pair's bit
+        for j, here in enumerate(self.reach):
+            while here:
+                low = here & -here
+                index[low.bit_length() - 1, j] = len(index)
+                here ^= low
         step = [
             [index[a.table[i][u], rows[j][u]] for i, j in index]
             for u in range(len(a.alphabet))
         ]
+        root = index[a.initial, self.initial]
         if self.ai:
             # the pairs with an accepting j, by whether i is accepting
             by_final = [0, 0]
@@ -271,63 +333,30 @@ class _PairSearch:
                 if j in accepting:
                     by_final[i in a.accepting] |= 1 << b
             clash = [by_final[i not in a.accepting] if j in accepting else 0 for i, j in index]
-            return step, clash, by_final[1]
+            return step, clash, by_final[1], root
         column = [0] * len(rows)
         for (_, j), b in index.items():
             column[j] |= 1 << b
-        return step, [column[j] & ~(1 << b) for (_, j), b in index.items()], 0
+        return step, [column[j] & ~(1 << b) for (_, j), b in index.items()], 0, root
 
     def first(self, l: int, root: int, canonical_only: bool):
         """``(rows, root, accepting)`` for the first l-state table whose run
         from initial state ``root`` has no conflict, None if none has.  Under
         ai ``accepting`` is the least accepting set the run allows: the k's
         that meet an accepting j and an accepting i; empty otherwise."""
-        step, clash, accepted = self._tables
+        step, clash, accepted, initial = self._tables
         s = len(step)
-        flat = [0] * (l * s)
+        found = []
 
-        def close(reached: list[int], work: list[tuple[int, int]], p: int) -> bool:
-            """Add to ``reached`` the (pair, k) in ``work`` and all they reach by entries <= p."""
-            while work:
-                b, k = work.pop()
-                here = reached[k]
-                if here >> b & 1:
-                    continue
-                if here & clash[b]:
-                    return False
-                reached[k] = here | 1 << b
-                base = k * s
-                for u in range(min(s, p - base + 1)):
-                    work.append((step[u][b], flat[base + u]))
+        def leaf(flat: list[int], reach: list[int]) -> bool:
+            accepting = frozenset(k for k, here in enumerate(reach) if here & accepted)
+            found.append((_rows(flat, l, s), root, accepting))
             return True
 
-        def extend(p: int, seen: int, reached: list[int]) -> list[int] | None:
-            if p == len(flat):
-                return reached
-            k, u = divmod(p, s)
-            moved = []  # the pairs that those reached with k move to by u
-            x = reached[k]
-            while x:
-                low = x & -x
-                moved.append(step[u][low.bit_length() - 1])
-                x ^= low
-            for v in _choices(l, s, canonical_only, p, seen):
-                self.nodes += 1
-                flat[p] = v
-                child = reached[:]
-                if close(child, [(b, v) for b in moved], p):
-                    found = extend(p + 1, max(seen, v + 1), child)
-                    if found is not None:
-                        return found
-            return None
-
         start = [0] * l
-        start[root] = 1  # the initial pair
-        reached = extend(0, 1, start)
-        if reached is None:
-            return None
-        accepting = frozenset(k for k, here in enumerate(reached) if here & accepted)
-        return _rows(flat, l, s), root, accepting
+        start[root] = 1 << initial
+        self.nodes += _walk(l, s, canonical_only, step, clash, len(clash), start, leaf)
+        return found[0] if found else None
 
 
 def _first_factors(
@@ -337,94 +366,39 @@ def _first_factors(
     ``candidate_automata``, that neither the fan nor, under ai, the minimal
     first factor skips at every l up to ``max_l``.
 
-    The first automaton's table is set an entry at a time over ``_choices``,
-    as ``_PairSearch.first`` sets the second one's, once per initial state.
-    ``reach[j]`` is the bit set of the states of M that words take to a1
-    state j through the entries set so far.  Setting entry (j, u) to v
-    moves the states at j by u into v, and the states new at v move on
-    through the entries already set.  Setting an entry only adds states, so
-    once an a1 state meets more than ``max_l`` states of M, its fan exceeds
-    ``max_l`` in every completion of the prefix, and the walk cuts the
-    subtree there.  A complete table is kept as its rows; its fan, the
-    most states at one a1 state, is the least l it pairs with.  One
-    breadth-first search over M's table and the rows gives the search's
-    pair index: the (M, a1) pairs reachable by a common word, numbered in
-    visit order.  Under ai the reached sets give F1*, and a1 with F1* is
-    minimal iff its reachable states carry k distinct ``_hopcroft`` labels:
-    unreachable states cannot change which reachable states are
-    equivalent, so this is ``minimize``'s answer with or without them.
+    The first automaton's table is walked by ``_walk``, once per initial
+    state, with the states of M as bits: ``reach[j]`` is the bit set of the
+    states of M that words take to a1 state j through the entries set so
+    far, and the fan cap ``max_l`` cuts a prefix where one a1 state meets
+    more states of M, since its fan then exceeds ``max_l`` in every
+    completion.  A complete table is kept as its rows and reach sets; its
+    fan, the most states at one a1 state, is the least l it pairs with.
+    Under ai the reach sets give F1*, and a1 with F1* is minimal iff its
+    reachable states carry k distinct ``_hopcroft`` labels: unreachable
+    states cannot change which reachable states are equivalent, so this is
+    ``minimize``'s answer with or without them.
     """
     s = len(alphabet)
-    flat = [0] * (k * s)
-    into = [[1 << row[u] for row in m.table] for u in range(s)]
+    step = [[row[u] for row in m.table] for u in range(s)]
     final = sum(1 << i for i in m.accepting)
     kept: list[_PairSearch] = []
 
-    def move(states: int, u: int) -> int:
-        """The states of M that ``states`` move to by symbol u."""
-        moved, step = 0, into[u]
-        while states:
-            low = states & -states
-            moved |= step[low.bit_length() - 1]
-            states ^= low
-        return moved
-
-    def close(reach: list[int], j: int, states: int, p: int) -> bool:
-        """Add ``states`` at a1 state j to ``reach``, and all they reach by
-        entries <= p; False once an a1 state meets more than max_l."""
-        work = [(j, states)]
-        while work:
-            j, states = work.pop()
-            here = reach[j]
-            states &= ~here
-            if states:
-                here |= states
-                if here.bit_count() > max_l:
-                    return False
-                reach[j] = here
-                base = j * s
-                for u in range(min(s, p - base + 1)):
-                    work.append((flat[base + u], move(states, u)))
-        return True
-
-    def keep(reach: list[int], initial: int) -> None:
+    def keep(flat: list[int], reach: list[int]) -> bool:
         rows = _rows(flat, k, s)
         accepting = ()
         if ai:
             accepting = {j for j, here in enumerate(reach) if here & final}  # F1*
             labels = _hopcroft(rows, accepting)
             if len({labels[j] for j, here in enumerate(reach) if here}) < k:
-                return  # a1 with F1* is not minimal
-        order = [(m.initial, initial)]
-        index = {order[0]: 0}
-        for i, j in order:  # ``order`` grows while this loop runs
-            for pair in zip(m.table[i], rows[j]):
-                if pair not in index:
-                    index[pair] = len(order)
-                    order.append(pair)
+                return False  # a1 with F1* is not minimal
         fan = max(here.bit_count() for here in reach)
-        kept.append(_PairSearch(ai, m, rows, initial, accepting, fan, index))
+        kept.append(_PairSearch(ai, m, rows, initial, accepting, fan, reach))
+        return False
 
-    def extend(p: int, seen: int, reach: list[int], initial: int) -> None:
-        if p == len(flat):
-            keep(reach, initial)
-            return
-        j, u = divmod(p, s)
-        moved = move(reach[j], u)
-        for v in _choices(k, s, canonical_only, p, seen):
-            flat[p] = v
-            child = reach
-            if moved:
-                child = reach[:]
-                if not close(child, v, moved, p):
-                    continue
-            extend(p + 1, max(seen, v + 1), child, initial)
-
-    if _table_count(k, s, canonical_only):
-        for initial in range(1 if canonical_only else k):
-            start = [0] * k
-            start[initial] = 1 << m.initial
-            extend(0, 1, start, initial)
+    for initial in range(1 if canonical_only else k):
+        start = [0] * k
+        start[initial] = 1 << m.initial
+        _walk(k, s, canonical_only, step, [0] * m.n, max_l, start, keep)
     # tables in walk order, which is the rows' order, then initial states
     kept.sort(key=lambda search: (search.rows, search.initial))
     return kept
@@ -437,12 +411,12 @@ def _first_pair(
     ``sizes``, a list of (k, l) in lexicographic order, or None if there is
     none; and the entries set over the sizes searched through.
 
-    ``_first_factors`` sets the first automaton's table an entry at a time,
-    cuts it where the fan fails, and keeps a complete one as the rows and
-    pair index of its ``_PairSearch``.  The second one's table is set an
-    entry at a time, in the same order, while the search follows the
-    triples reachable through the entries set so far, and a branch is cut
-    at the kind's first conflict.  This finds exactly the
+    Both tables are set an entry at a time by ``_walk``.  ``_first_factors``
+    walks the first automaton's, cuts it where the fan fails, and keeps a
+    complete one as the rows and reach sets of its ``_PairSearch``.
+    ``_PairSearch.first`` walks the second one's, in the same order, while
+    it follows the triples reachable through the entries set so far, and
+    cuts a branch at the kind's first conflict.  This finds exactly the
     enumerator's first pair: the triples reachable through a prefix are
     reachable in every completion of it, so a conflict of the prefix is a
     conflict of all of them, and the leaves are reached in table order.  At

@@ -533,12 +533,12 @@ def test_hopcroft_labels_give_minimize_partition():
 @pytest.mark.parametrize("canonical_only", [True, False], ids=["canonical", "all"])
 def test_first_factors_match_their_earlier_route(canonical_only):
     """``oracle._first_factors`` keeps the first factors, with the same least
-    l, pair order and F1*, that ``_triple_bfs``, the ``Counter`` fan and
-    ``minimize`` kept: every candidate of 1-3 states over 1-2 symbols and of
-    1-2 states over 3 symbols, against seeded random trimmed automata
-    (one-state and unary ones included) under ai, si and wai, at each
-    largest second size up to 3 and at the automaton's size, which no fan
-    exceeds."""
+    l, set of reached (M, a1) pairs and F1*, that ``_triple_bfs``, the
+    ``Counter`` fan and ``minimize`` kept: every candidate of 1-3 states over
+    1-2 symbols and of 1-2 states over 3 symbols, against seeded random
+    trimmed automata (one-state and unary ones included) under ai, si and
+    wai, at each largest second size up to 3 and at the automaton's size,
+    which no fan exceeds."""
     skipped = set()
     for seed in range(12):
         rng = random.Random(seed)
@@ -554,10 +554,12 @@ def test_first_factors_match_their_earlier_route(canonical_only):
                 for max_l in (1, 2, 3, a.n):
                     new = []
                     for f in _first_factors(ai, m, alphabet, k, max_l, canonical_only):
-                        assert list(f.index.values()) == list(range(len(f.index)))
                         a1 = _candidate(alphabet, f.rows, f.initial, f.accepting)
-                        new.append((f.least_l, a1, list(f.index)))
-                    assert new == [f for f in route if f[0] <= max_l], (seed, kind, k, max_l)
+                        bits = f.reach
+                        pairs = {(i, j) for i in range(m.n) for j in range(k) if bits[j] >> i & 1}
+                        new.append((f.least_l, a1, pairs))
+                    expected = [(l, a1, set(pairs)) for l, a1, pairs in route if l <= max_l]
+                    assert new == expected, (seed, kind, k, max_l)
                     if len(new) < len(route):
                         skipped.add("fan")
     assert skipped == {"non-minimal first factor", "fan"}

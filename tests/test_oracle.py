@@ -117,6 +117,37 @@ class TestCandidates:
                     helpers.candidates_by_product(k, alphabet, canonical_only, False)
                 )
 
+    @pytest.mark.parametrize("canonical_only", [True, False], ids=["canonical", "all"])
+    def test_walk_without_a_cut_completes_every_table_in_order(self, canonical_only):
+        """With no clash and a fan cap that never fires, ``_walk`` completes
+        exactly ``_table_walk``'s tables, in its order, sets one entry per
+        distinct non-empty prefix of them, and at each table holds at state
+        j the bits that words take there: the states of a 3-state counter
+        that symbol u moves u + 1 ahead, from bit 0 at state 0."""
+        for k in (1, 2, 3):
+            for s in (1, 2, 3):
+                step = [[(b + u + 1) % 3 for b in range(3)] for u in range(s)]
+                leaves = []
+
+                def leaf(flat, reach):
+                    leaves.append((tuple(flat), reach))
+                    return False
+
+                start = [1] + [0] * (k - 1)
+                entries = oracle._walk(k, s, canonical_only, step, [0] * 3, 3, start, leaf)
+                tables = [tuple(flat) for flat in _table_walk(k, s, canonical_only)]
+                assert [flat for flat, _ in leaves] == tables, (k, s)
+                prefixes = {table[:q] for table in tables for q in range(1, k * s + 1)}
+                assert entries == len(prefixes), (k, s)
+                for flat, reach in leaves:
+                    pairs = [(0, 0)]  # (bit, state) pairs, by breadth-first search
+                    for b, j in pairs:
+                        for u in range(s):
+                            pair = (step[u][b], flat[j * s + u])
+                            if pair not in pairs:
+                                pairs.append(pair)
+                    assert reach == [sum(1 << b for b, j in pairs if j == i) for i in range(k)]
+
     def test_canonical_enumeration_is_complete_up_to_isomorphism(self):
         rng = random.Random(47)
         pools = {
@@ -154,6 +185,16 @@ def _padded(a: Dfa) -> Dfa:
     padded = trim(parallel_connection(a, helpers.length_counter(2, {0, 1}, "len2")))
     assert not helpers.is_minimal(padded)
     return padded
+
+
+def _rand6() -> Dfa:
+    """The first draw of a seeded random trimmed automaton that keeps its 6
+    states and is minimal."""
+    rng = random.Random(1)
+    while True:
+        a = random_dfa(rng, 6, trim_unreachable=True)
+        if a.n == 6 and helpers.is_minimal(a):
+            return a
 
 
 class TestCertify:
@@ -250,10 +291,25 @@ class TestCertify:
             ("si", gen_ln(5), (4, 4), 83),
             # not minimal: ai searches its minimal automaton, as wai does
             ("ai", _padded(gen_a4b4_triple()[1]), (3, 3), 492),
+            # the frontier, past the feasibility bound
+            ("si", gen_a4b4_triple()[0], (4, 4), 27019),
+            ("si", _rand6(), (4, 4), 27699),
         ],
-        ids=["a4b4-si", "a4b4-wai", "a4b4-ai", "ln6-wai", "ln5-si", "padded-a4b4-ai"],
+        ids=[
+            "a4b4-si",
+            "a4b4-wai",
+            "a4b4-ai",
+            "ln6-wai",
+            "ln5-si",
+            "padded-a4b4-ai",
+            "a4b4-si-4",
+            "rand6-si-4",
+        ],
     )
-    def test_canonical_search_sets_a_fixed_number_of_entries(self, kind, dfa, caps, nodes):
+    def test_canonical_search_sets_a_fixed_number_of_entries(
+        self, monkeypatch, kind, dfa, caps, nodes
+    ):
+        monkeypatch.setattr(oracle, "FEASIBILITY_BOUND", float("inf"))
         cert = certify_undecomposable(kind, dfa, SearchBudget(*caps))
         assert isinstance(cert, ExhaustionCertificate)
         assert cert.nodes_visited == nodes
@@ -496,6 +552,8 @@ def test_first_table_is_the_first_that_verifies(case):
                 break
         if expected:
             break
-    index = {pair: b for b, pair in enumerate(order)}
-    search = _PairSearch(ai, a, a1.table, a1.initial, a1.accepting, 1, index)
+    reach = [0] * a1.n
+    for i, j in order:
+        reach[j] |= 1 << i
+    search = _PairSearch(ai, a, a1.table, a1.initial, a1.accepting, 1, reach)
     assert search.first(l, root, canonical) == expected
