@@ -29,6 +29,7 @@ from .decompositions import (
     decompose_asb,
     decompose_sb,
     decompose_wai_sufficient,
+    decomposable,
     is_redundant,
     project_to_minimal,
     transfer_to_minimal,

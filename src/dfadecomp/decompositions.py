@@ -20,15 +20,18 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .automata import Dfa, _pair_states, _triple_bfs, reachable_indexes
 from .errors import InputError
 from .partitions import (
+    Leaders,
     Partition,
     SeparationWitness,
     SpLattice,
+    _atoms,
     _key,
+    _pair_components,
     join,
     meet,
     minimize,
@@ -260,10 +263,77 @@ def _emission_mask(kind: DecompositionKind, n: int, accepting: frozenset[int]) -
     raise InputError(f"no lattice-based construction for kind {kind.value!r}")
 
 
-def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
+def _sink_pair(
+    a: Dfa, condition: Callable[[int, int], bool], sinks: Iterable[Leaders]
+) -> tuple[Leaders, Leaders] | None:
+    """The first pair (x, y) of nontrivial atoms of ``sinks``, x no later
+    than y, that satisfies ``condition``, taking the pairs by the position of
+    y, then of x; None if none does.  Each atom's key is built when the scan
+    reaches it, so a pair found early spares the rest."""
+    atoms: list[Leaders] = []
+    keys: list[int] = []
+    for y in sinks:
+        if any(y):  # not the one-block partition, whose leaders are all 0
+            atoms.append(y)
+            keys.append(_key(y, a.accepting))
+            for x, kx in zip(atoms, keys):
+                if condition(kx, keys[-1]):
+                    return x, y
+    return None
+
+
+def decomposable(
+    a: Dfa, kind: "DecompositionKind | str"
+) -> tuple[Partition, Partition] | None:
+    """A pair of source partitions of an entry of the ``kind`` report of
+    ``a`` (sb, asb, ai or wai), or None when that report is empty, decided
+    without building the lattice.  For ai and wai this answers for the
+    *sufficient* constructions only: None does not prove that no pair of
+    smaller automata decomposes ``a``.
+
+    Every emission condition is down-closed (``_emission_condition``), and
+    every nontrivial element lies above an atom other than the one-block
+    partition, and so above a minimal atom m.  A walk from a pair of m
+    through the pair graph ends in a sink component S, one that no edge
+    leaves (``_pair_components``); m merges every pair it reaches, so the
+    atom of S lies below m and is m.  So two nontrivial elements satisfy the
+    condition exactly when two nontrivial sink atoms do, the same one twice
+    allowed.  A sink atom need not be minimal, but it is a nontrivial
+    element all the same.  There is one closure per sink component; the
+    lattice can have Bell(n) elements.
+
+    The sink atoms are taken in the lattice's element order, and the pair
+    returned is the first that the shortest prefix of that order holds, its
+    earlier member tested first; it is oriented as ``_decompose`` orients
+    its entries, fewer blocks first.
+    """
+    kind = _as_kind(kind)
     _require_reachable(a, kind)
-    lattice = sp_lattice(a)
     condition = _emission_condition(kind, a)
+    sinks = sorted(
+        map(Partition._from_leaders, _atoms(a, _pair_components(a), sink=True)),
+        key=lambda pi: (-pi.num_blocks, pi.blocks),
+    )
+    pair = _sink_pair(a, condition, [pi.leaders for pi in sinks])
+    if pair is None:
+        return None
+    x, y = map(Partition._from_leaders, pair)
+    return (y, x) if y.num_blocks < x.num_blocks else (x, y)
+
+
+def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
+    """The report of one kind.  One pair-graph pass and the closures of its
+    sink components decide, as in ``decomposable``, whether the report is
+    empty; only a nonempty one builds the lattice, from those closures and
+    the closures of the other components."""
+    _require_reachable(a, kind)
+    condition = _emission_condition(kind, a)
+    roots = _pair_components(a)
+    atoms = _atoms(a, roots, sink=True)
+    if _sink_pair(a, condition, atoms) is None:
+        return DecompositionReport(a.fingerprint(), kind, ())
+    atoms.update(_atoms(a, roots, sink=False))
+    lattice = sp_lattice(a, atoms=atoms)
     elements, keys = lattice.elements, lattice.keys
     separating = kind in (DecompositionKind.AI, DecompositionKind.ASB)
     pairs: dict = {}
@@ -304,7 +374,11 @@ def _decompose(a: Dfa, kind: DecompositionKind) -> DecompositionReport:
 
 
 def decompose_sb(a: Dfa) -> DecompositionReport:
-    """All quotient pairs from nontrivial lattice elements with meet zero."""
+    """All quotient pairs from nontrivial lattice elements with meet zero.
+
+    An empty report is decided from the atoms of the pair graph's sink
+    components (:func:`decomposable`), before any lattice is built.
+    """
     return _decompose(a, DecompositionKind.SB)
 
 
@@ -318,7 +392,8 @@ def decompose_ai_sufficient(a: Dfa) -> DecompositionReport:
     """Quotient pairs whose partitions separate the accepting states.
 
     This is a sufficient construction only: an empty report does not prove
-    that no pair of smaller automata intersects to the same language.
+    that no pair of smaller automata intersects to the same language.  An
+    empty report is decided without a lattice, as for :func:`decompose_sb`.
     """
     return _decompose(a, DecompositionKind.AI)
 
@@ -326,7 +401,8 @@ def decompose_ai_sufficient(a: Dfa) -> DecompositionReport:
 def decompose_wai_sufficient(a: Dfa) -> DecompositionReport:
     """Quotient pairs whose meet refines the accepting/non-accepting split.
 
-    Sufficient only, like :func:`decompose_ai_sufficient`.
+    Sufficient only, like :func:`decompose_ai_sufficient`; an empty report
+    is decided without a lattice, as for :func:`decompose_sb`.
     """
     return _decompose(a, DecompositionKind.WAI)
 

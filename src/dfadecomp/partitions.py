@@ -215,16 +215,22 @@ def _min_sp_merging_labels(dfa: Dfa, p: int, t: int) -> Leaders:
     return tuple(_resolve(root))
 
 
-def _pair_components(dfa: Dfa) -> list[tuple[int, int]]:
+def _pair_components(dfa: Dfa) -> list[tuple[int, int, bool]]:
     """One state pair p < t from each strongly connected component of the
     graph with an edge from (p, t) to the normalised pair (δ(p, a), δ(t, a))
-    for every symbol a on which the two differ.
+    for every symbol a on which the two differ, with True for a sink
+    component, one that no edge leaves.
 
     Tarjan's algorithm meets each component once, at its root, and the root
     stands for it.  It runs on an explicit stack: a pair graph has n(n-1)/2
     nodes, far more than Python's recursion limit.  A finished pair's
     discovery number is raised past every other, so it no longer lowers a
-    low-link.
+    low-link.  Components close in reverse topological order: when one
+    closes, every edge leaving it enters a component closed before.  Such an
+    edge is met either into a finished pair, and marks the pair it leaves,
+    or as a step of the search path into a component that closes on the way
+    back, which marks the step's first pair.  A component is a sink when
+    none of its pairs is marked.
     """
     n, table = dfa.n, dfa.table
 
@@ -235,6 +241,7 @@ def _pair_components(dfa: Dfa) -> list[tuple[int, int]]:
     finished = n * n
     order = [-1] * finished  # discovery number, -1 until visited, ``finished`` once done
     low = [0] * finished
+    leaves = [False] * finished  # True once an edge from it leaves its component
     stack: list[int] = []
     roots = []
     visited = 0
@@ -254,19 +261,37 @@ def _pair_components(dfa: Dfa) -> list[tuple[int, int]]:
                     stack.append(w)
                     path.append((w, iter(successors(w))))
                     break
-                low[v] = min(low[v], order[w])
+                if order[w] == finished:
+                    leaves[v] = True
+                elif order[w] < low[v]:
+                    low[v] = order[w]
             else:
                 path.pop()
-                if path:
-                    u = path[-1][0]
-                    low[u] = min(low[u], low[v])
                 if low[v] == order[v]:
-                    roots.append(divmod(v, n))
+                    sink = True
                     w = -1
                     while w != v:
                         w = stack.pop()
                         order[w] = finished
+                        sink = sink and not leaves[w]
+                    roots.append((*divmod(v, n), sink))
+                    if path:
+                        leaves[path[-1][0]] = True
+                elif low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
     return roots
+
+
+def _atoms(
+    dfa: Dfa, roots: Iterable[tuple[int, int, bool]], sink: bool | None = None
+) -> dict[Leaders, tuple[int, int]]:
+    """Each distinct atom of the roots of ``_pair_components`` whose sink flag
+    is ``sink`` (of every root if None) -> the first root it is the atom of."""
+    atoms: dict[Leaders, tuple[int, int]] = {}
+    for p, t, flag in roots:
+        if sink is None or flag is sink:
+            atoms.setdefault(_min_sp_merging_labels(dfa, p, t), (p, t))
+    return atoms
 
 
 @dataclass(frozen=True)
@@ -304,7 +329,12 @@ class SpLattice:
         return [pi for pi in self.elements if not pi.is_trivial()]
 
 
-def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
+def sp_lattice(
+    dfa: Dfa,
+    check_meet_closure: bool = True,
+    *,
+    atoms: dict[Leaders, tuple[int, int]] | None = None,
+) -> SpLattice:
     """All S.P. partitions of ``dfa``: the atoms of the state pairs, closed
     under join with the join-irreducible ones.
 
@@ -312,10 +342,14 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     merges p and t.  If (p, t) reaches (p', t') in the pair graph of
     ``_pair_components``, the atom of (p, t) merges p' and t', so the pairs
     of one strongly connected component share one atom, and one closure per
-    component finds them all.  An atom is join-irreducible exactly when the
-    atoms strictly below it, joined, do not merge a pair it is the atom of;
-    any such pair serves.  Every element is a join of irreducibles, so the
-    closure joins x only with the irreducibles it does not already contain.
+    component finds them all (``_atoms``).  A caller that has closed the
+    components already passes that map as ``atoms``; the result does not
+    depend on the order of its entries, since elements, irreducibles and
+    ``above`` all come out in canonical order.  An atom is join-irreducible
+    exactly when the atoms strictly below it, joined, do not merge a pair it
+    is the atom of; any such pair serves.  Every element is a join of
+    irreducibles, so the closure joins x only with the irreducibles it does
+    not already contain.
     Closure under meet is a consequence and is re-verified on the pair masks
     (``SpLattice.keys``) up to 1000 elements.  The check is quadratic: at 877
     elements it costs 2.6 times the rest of the build, at 4140 eleven times.
@@ -329,12 +363,11 @@ def sp_lattice(dfa: Dfa, check_meet_closure: bool = True) -> SpLattice:
     complete row holds x ∨ j; else if y ∨ j merges j''s pair, x ∨ j = y ∨ j.
     """
     n = dfa.n
-    merging: dict[Leaders, tuple[int, int]] = {}  # each distinct atom -> a pair it is the atom of
-    for p, t in _pair_components(dfa):
-        merging.setdefault(_min_sp_merging_labels(dfa, p, t), (p, t))
+    if atoms is None:
+        atoms = _atoms(dfa, _pair_components(dfa))
     bottom = tuple(range(n))
     irreducibles = []  # (atom, its merges, a pair it is the atom of) of each join-irreducible atom
-    for j, (p, t) in sorted(merging.items(), key=lambda item: -len(set(item[0]))):
+    for j, (p, t) in sorted(atoms.items(), key=lambda item: -len(set(item[0]))):
         below = bottom
         for _, a_merges, q, u in irreducibles:
             if j[q] == j[u]:  # j merges a's pair, so a < j

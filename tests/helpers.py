@@ -229,6 +229,29 @@ def identity(n: int) -> Dfa:
     return Dfa(f"id{n}", states, ("a",), tuple((i,) for i in range(n)), 0, frozenset({0}))
 
 
+def hub(n: int) -> Dfa:
+    """States 0..n-1, initial and accepting 0.  Symbol e_j (j >= 1) sends 0 to
+    j and every other state to 0; c_p (p >= 3) sends p to 2 and every other
+    state to 1.  Every state is reachable.  Its lattice is the bottom, the top
+    and the Bell(n-2) partitions that keep 0 alone and merge 1 with 2; it has
+    no sb or asb entry."""
+    symbols = tuple(f"e{j}" for j in range(1, n)) + tuple(f"c{p}" for p in range(3, n))
+    table = tuple(
+        tuple(j if i == 0 else 0 for j in range(1, n))
+        + tuple(2 if i == p else 1 for p in range(3, n))
+        for i in range(n)
+    )
+    return Dfa(f"hub{n}", tuple(f"s{i}" for i in range(n)), symbols, table, 0, frozenset({0}))
+
+
+def reset(n: int) -> Dfa:
+    """n states and n symbols; c_j sends every state to j.  Every partition is
+    S.P. (Bell(n) of them), and the atom of a pair merges that pair alone."""
+    states = tuple(f"s{i}" for i in range(n))
+    symbols = tuple(f"c{j}" for j in range(n))
+    return Dfa(f"reset{n}", states, symbols, (tuple(range(n)),) * n, 0, frozenset({0}))
+
+
 def one_state(alphabet=("a", "b"), accepting=True) -> Dfa:
     return Dfa(
         name="one",

@@ -174,6 +174,17 @@ class TestExitCodes:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("kind", ["sb", "asb"])
+    def test_an_undecomposable_hub_is_exit_one_without_its_lattice(
+        self, kind, capsys, monkeypatch
+    ):
+        # hub(17)'s lattice has Bell(15) + 2 elements; the sink atoms decide.
+        doc = print_dfa(helpers.hub(17))
+        header = f"# 0 {kind} decomposition(s) of hub17\n"
+        for fmt, expected in (("text", header), ("json", "[]\n")):
+            argv = ["decompose", "--kind", kind, "--format", fmt]
+            assert run_cli(capsys, argv, stdin=doc, monkeypatch=monkeypatch) == (1, expected, "")
+
     def test_verify_success_and_refusal(self, capsys, tmp_path):
         a, a1, a2 = gen_a4b4_triple()
         paths = []

@@ -16,6 +16,7 @@ from dfadecomp import (
     decompose_asb,
     decompose_sb,
     decompose_wai_sufficient,
+    decomposable,
     gen_a4b4_triple,
     gen_example31,
     gen_example31_partitions,
@@ -29,6 +30,7 @@ from dfadecomp import (
     join,
     leq,
     meet,
+    min_sp_merging,
     minimize,
     parallel_connection,
     parse_dfa,
@@ -40,7 +42,7 @@ from dfadecomp import (
     trim,
     verify,
 )
-from dfadecomp import Dfa, decompositions
+from dfadecomp import Dfa, decompositions, partitions
 from dfadecomp.automata import reachable_indexes
 
 import helpers
@@ -487,6 +489,96 @@ class TestRedundancy:
             with pytest.raises(InputError, match="no lattice-based construction"):
                 decompositions._emission_condition(DecompositionKind.SI, a)
         assert masks.cache_info().currsize == 4
+
+
+class TestDecomposable:
+    BELL = (1, 1, 2, 5, 15, 52, 203)
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    def test_hub_has_bell_many_elements_and_no_state_behavior_entry(self, n):
+        a = helpers.hub(n)
+        assert len(reachable_indexes(a)) == n
+        assert len(sp_lattice(a).elements) == self.BELL[n - 2] + 2
+        assert decomposable(a, "sb") is None and decomposable(a, "asb") is None
+
+    def test_hub17_reports_are_decided_without_a_lattice(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the lattice was built")
+
+        monkeypatch.setattr(decompositions, "sp_lattice", refuse)
+        a = helpers.hub(17)
+        assert decompose_sb(a).entries == () and decompose_asb(a).entries == ()
+        for kind in ("sb", "asb"):
+            assert decomposable(a, kind) is None
+        for kind in ("ai", "wai"):
+            assert decomposable(a, kind) is not None
+
+    def test_reset16_has_an_sb_pair(self):
+        # Every partition of its 16 states is S.P.: Bell(16) elements.
+        a = helpers.reset(16)
+        pa, pb = decomposable(a, DecompositionKind.SB)
+        assert (pa.num_blocks, pb.num_blocks) == (15, 15)
+        assert meet(pa, pb) == Partition.singletons(16)
+
+    @pytest.mark.parametrize(
+        "a", [gen_grid(3, 3), gen_lkl(4, 6), gen_sb_not_asb()], ids=lambda a: a.name
+    )
+    def test_the_pair_is_the_first_of_sink_atoms_in_the_lattices_element_order(self, a):
+        lattice = sp_lattice(a)
+        roots = decompositions._pair_components(a)
+        sinks = {min_sp_merging(a, a.states[p], a.states[t]) for p, t, sink in roots if sink}
+        sinks = sorted((pi for pi in sinks if pi.num_blocks > 1), key=lattice.index.__getitem__)
+        for kind in DecompositionKind:
+            if kind is DecompositionKind.SI:
+                continue
+            condition = helpers.scan_condition(kind, a)
+            # Pairs (x, y), x no later than y, by the position of y, then of x.
+            pairs = [(x, y) for j, y in enumerate(sinks) for x in sinks[: j + 1]]
+            first = next((p for p in pairs if condition(*p)), None)
+            oriented = first and tuple(sorted(first, key=lambda pi: pi.num_blocks))
+            assert decomposable(a, kind) == oriented, kind
+
+    def test_contract_errors_are_those_of_decompose(self):
+        with pytest.raises(InputError, match="no lattice-based construction for kind 'si'"):
+            decomposable(gen_grid(2, 3), "si")
+        with pytest.raises(InputError, match="unknown decomposition kind"):
+            decomposable(gen_grid(2, 3), "xx")
+        # The identity automaton has unreachable states, so only ai answers.
+        identity = helpers.identity(16)
+        for kind in ("sb", "asb", "wai"):
+            with pytest.raises(InputError, match="without unreachable states"):
+                decomposable(identity, kind)
+        assert decomposable(identity, "ai") is not None
+
+    @pytest.mark.parametrize(
+        "a", [gen_grid(3, 3), gen_example31()[0], gen_a4b4_triple()[0]], ids=lambda a: a.name
+    )
+    def test_one_pair_graph_pass_and_one_closure_per_component(self, a, monkeypatch):
+        passes, closed = [], []
+        real_pass, real_close = partitions._pair_components, partitions._min_sp_merging_labels
+
+        def counted_pass(dfa):
+            passes.append(real_pass(dfa))
+            return passes[-1]
+
+        def counted_close(dfa, p, t):
+            closed.append((p, t))
+            return real_close(dfa, p, t)
+
+        monkeypatch.setattr(decompositions, "_pair_components", counted_pass)
+        monkeypatch.setattr(partitions, "_pair_components", counted_pass)
+        monkeypatch.setattr(partitions, "_min_sp_merging_labels", counted_close)
+        for decompose in (
+            decompose_sb, decompose_asb, decompose_ai_sufficient, decompose_wai_sufficient
+        ):
+            passes.clear()
+            closed.clear()
+            entries = decompose(a).entries
+            (roots,) = passes
+            # Every sink root is closed once; the others once, and only when
+            # there are entries to list.
+            closes = [(p, t) for p, t, sink in roots if sink or entries]
+            assert sorted(closed) == sorted(closes)
 
 
 class TestDerivedNames:

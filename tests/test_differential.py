@@ -26,6 +26,7 @@ from dfadecomp import (
     decompose_asb,
     decompose_sb,
     decompose_wai_sufficient,
+    decomposable,
     gen_a4b4_triple,
     gen_example31,
     gen_grid,
@@ -63,21 +64,21 @@ DECOMPOSERS = {
 TRIPLE_ORACLE_LIMIT = 40
 
 
-def _random_trimmed(seed: int) -> Dfa:
-    """A trimmed automaton of at most 7 states over 1-3 symbols.  Plain random
-    automata mostly have trivial lattices, so two seeds in three draw a product
-    of two small automata, or an automaton whose transitions are mostly
-    self-loops, which many partitions respect."""
+def _random_trimmed(seed: int, most: int = 7) -> Dfa:
+    """A trimmed automaton of at most ``most`` states over 1-3 symbols.  Plain
+    random automata mostly have trivial lattices, so two seeds in three draw a
+    product of two small automata, or an automaton whose transitions are
+    mostly self-loops, which many partitions respect."""
     rng = random.Random(seed)
     alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
     if seed % 3 == 0:
-        return random_dfa(rng, rng.randint(1, 7), alphabet, trim_unreachable=True)
+        return random_dfa(rng, rng.randint(1, most), alphabet, trim_unreachable=True)
     if seed % 3 == 1:
         n1 = rng.randint(2, 3)
         a1 = random_dfa(rng, n1, alphabet)
-        a2 = random_dfa(rng, rng.randint(2, 7 // n1), alphabet)
+        a2 = random_dfa(rng, rng.randint(2, most // n1), alphabet)
         return trim(parallel_connection(a1, a2))
-    n = rng.randint(2, 7)
+    n = rng.randint(2, most)
     table = [[i if rng.random() < 0.7 else rng.randrange(n) for _ in alphabet] for i in range(n)]
     # A spanning tree from state 0 keeps every state reachable, so each tree
     # edge takes a cell that no earlier one wrote.
@@ -152,12 +153,68 @@ def test_pair_components_give_one_root_per_mutual_reachability_class(a):
         reach[pair] = seen
     classes = {frozenset(v for v in reach[u] if u in reach[v]) for u in pairs}
     roots = _pair_components(a)
-    assert all(u in reach for u in roots)  # each root is a state pair p < t
+    assert all((p, t) in reach for p, t, _ in roots)  # each root is a state pair p < t
     assert len(roots) == len(classes)
-    assert {c for c in classes for u in roots if u in c} == classes
+    assert {c for c in classes for p, t, _ in roots if (p, t) in c} == classes
     for c in classes:
         atoms = {min_sp_merging(a, a.states[p], a.states[t]) for p, t in c}
         assert len(atoms) == 1, sorted(c)
+    # A root is flagged a sink iff nothing outside its class is reachable.
+    for p, t, sink in roots:
+        assert sink == (reach[p, t] == {v for v in reach[p, t] if (p, t) in reach[v]}), (p, t)
+    # Every minimal atom is the closure of a sink root.
+    atoms = {min_sp_merging(a, a.states[p], a.states[t]) for p, t in pairs}
+    sink_atoms = {min_sp_merging(a, a.states[p], a.states[t]) for p, t, sink in roots if sink}
+    minimal = {x for x in atoms if not any(y != x and leq(y, x) for y in atoms)}
+    assert minimal <= sink_atoms
+
+
+def _decomposable_by_scan(kind: DecompositionKind, a: Dfa) -> bool:
+    """Whether two nontrivial lattice elements, the same one twice allowed,
+    satisfy the kind's condition, through ``meet``, ``separates_finals`` and
+    ``leq`` on every pair."""
+    condition = helpers.scan_condition(kind, a)
+    factors = sp_lattice(a).nontrivial()
+    return any(condition(x, y) for x, y in itertools.combinations_with_replacement(factors, 2))
+
+
+SEEDED_UP_TO_NINE = [_random_trimmed(seed, most=9) for seed in range(400)]
+DECISION_INPUTS = SEEDED_UP_TO_NINE + FIXTURES + [helpers.hub(n) for n in range(5, 9)]
+
+
+@pytest.mark.parametrize("a", DECISION_INPUTS, ids=lambda a: a.name)
+def test_an_empty_report_is_decided_as_the_scan_decides(a):
+    for kind in DECOMPOSERS:
+        _check_decision(kind, a)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_an_empty_ai_report_of_an_untrimmed_input_is_decided_as_the_scan_decides(seed):
+    rng = random.Random(-1 - seed)
+    alphabet = ("a", "b", "c")[: rng.randint(1, 3)]
+    _check_decision(DecompositionKind.AI, random_dfa(rng, rng.randint(1, 9), alphabet))
+
+
+@pytest.mark.parametrize("kind", [DecompositionKind.SB, DecompositionKind.ASB])
+def test_hub9_has_no_state_behavior_entry_as_the_scan_decides(kind):
+    # Its ai and wai reports list 385003 entries each, so only the empty ones run.
+    _check_decision(kind, helpers.hub(9))
+
+
+def _check_decision(kind: DecompositionKind, a: Dfa) -> None:
+    """The report and ``decomposable`` agree with the scan, and the pair that
+    ``decomposable`` returns is the source of one of the report's entries."""
+    expected = _decomposable_by_scan(kind, a)
+    sources = [e.source_partitions for e in DECOMPOSERS[kind](a).entries]
+    assert bool(sources) == expected, kind
+    pair = decomposable(a, kind)
+    assert (pair is not None) == expected, kind
+    assert pair is None or pair in sources, kind
+
+
+def test_the_decision_comparison_sees_both_outcomes_for_every_kind():
+    for kind in DECOMPOSERS:
+        assert {_decomposable_by_scan(kind, a) for a in SEEDED_UP_TO_NINE} == {True, False}, kind
 
 
 @pytest.mark.parametrize("a", LATTICE_INPUTS, ids=lambda a: a.name)
